@@ -1,7 +1,9 @@
 /// \file zx_micro.cpp
 /// \brief Google-benchmark microbenchmarks of the ZX-calculus engine.
 #include "circuits/benchmarks.hpp"
+#include "compile/architecture.hpp"
 #include "compile/decompose.hpp"
+#include "compile/mapper.hpp"
 #include "zx/circuit_to_zx.hpp"
 #include "zx/simplify.hpp"
 
@@ -86,6 +88,35 @@ void BM_GroverReduction(benchmark::State& state) {
   state.counters["spider_candidates"] = static_cast<double>(sweeps);
 }
 BENCHMARK(BM_GroverReduction)->Arg(5)->Arg(6);
+
+void BM_CompiledReduction(benchmark::State& state) {
+  // zxCheck's diagram for the paper's compiled grover(5,19) cell: G against
+  // G' compiled to the 65-qubit heavy hex, aligned, decomposed and composed
+  // with the adjoint. Reducing it is most of that cell's t_zx; `candidates`
+  // counts what the scheduler examined for those rewrites.
+  const auto g = circuits::grover(5, 19);
+  const auto gPrime = compile::compileForArchitecture(
+      g, compile::Architecture::ibmManhattanLike());
+  const auto [a, b] = alignCircuits(g, gPrime);
+  const auto base =
+      zx::circuitToZX(compile::decomposeForZX(a))
+          .compose(zx::circuitToZX(compile::decomposeForZX(b)).adjoint());
+  std::size_t candidates = 0;
+  std::size_t rewrites = 0;
+  for (auto _ : state) {
+    auto diagram = base;
+    zx::Simplifier simplifier(diagram);
+    benchmark::DoNotOptimize(simplifier.fullReduce());
+    candidates = 0;
+    for (const auto& rule : simplifier.stats().rules) {
+      candidates += rule.candidates;
+    }
+    rewrites = simplifier.stats().total();
+  }
+  state.counters["candidates"] = static_cast<double>(candidates);
+  state.counters["rewrites"] = static_cast<double>(rewrites);
+}
+BENCHMARK(BM_CompiledReduction)->Unit(benchmark::kMillisecond);
 
 void BM_CliffordReductionLarge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

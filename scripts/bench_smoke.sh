@@ -86,7 +86,8 @@ run_bench "./$BUILD_DIR/bench/dd_micro" "$OUT" \
 run_bench "./$BUILD_DIR/bench/zx_micro" "$OUT_ZX" \
   --benchmark_format=json \
   --benchmark_min_time=0.1 \
-  --benchmark_filter='BM_GroverReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
+  --benchmark_repetitions=3 \
+  --benchmark_filter='BM_GroverReduction|BM_CompiledReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
 
 # Thread-scaling record: the sharded alternating / compilation-flow checkers
 # and the simulation worker pool at 1..8 slots. The per-entry
@@ -138,7 +139,7 @@ grep -E '"(name|real_time|gate_cache_hit_rate|compute_hit_rate|performed|peak_rs
   "$OUT" | sed -e 's/^[[:space:]]*//' -e 's/,$//'
 echo
 echo "=== zx digest ==="
-grep -E '"(name|real_time|rewrites|spider_candidates|peak_rss_kb)"' \
+grep -E '"(name|real_time|rewrites|candidates|spider_candidates|peak_rss_kb)"' \
   "$OUT_ZX" | sed -e 's/^[[:space:]]*//' -e 's/,$//'
 echo
 echo "=== thread-scaling digest ==="

@@ -145,6 +145,10 @@ AuditReport auditWorklist(const zx::Simplifier& simplifier) {
     report.add(AuditSeverity::Error, "zx.worklist.stamp", std::move(issue),
                "worklist");
   }
+  for (auto& issue : simplifier.changeMask().checkInvariant()) {
+    report.add(AuditSeverity::Error, "zx.worklist.mask", std::move(issue),
+               "change mask");
+  }
   return report;
 }
 

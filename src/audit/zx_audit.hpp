@@ -3,8 +3,10 @@
 ///
 /// The rewrite engine assumes an undirected multigraph stored as sorted
 /// adjacency rows, boundary vertices of degree exactly 1 carrying no phase,
-/// phases in PiRational normal form, and a worklist whose membership stamps
-/// agree with its two sweep heaps. These auditors re-derive each property.
+/// phases in PiRational normal form, a worklist whose membership stamps
+/// agree with its two sweep heaps, and a change mask whose vertex list
+/// names exactly the vertices with a nonzero mask. These auditors re-derive
+/// each property.
 ///
 /// Finding codes:
 ///   zx.adj.symmetry     edge multiplicities differ between the directions
@@ -16,6 +18,7 @@
 ///   zx.boundary.io      inputs/outputs list inconsistent with the diagram
 ///   zx.phase.form       phase not in PiRational normal form
 ///   zx.worklist.stamp   worklist membership-stamp inconsistency
+///   zx.worklist.mask    change-mask byte/list inconsistency
 #pragma once
 
 #include "audit/finding.hpp"
@@ -31,7 +34,8 @@ namespace veriqc::audit {
 [[nodiscard]] AuditReport auditDiagram(const zx::ZXDiagram& diagram,
                                        bool boundariesFinal = true);
 
-/// Audits the membership-stamp consistency of a simplifier's worklist.
+/// Audits the membership-stamp consistency of a simplifier's worklist and
+/// the byte/list consistency of its change mask.
 [[nodiscard]] AuditReport auditWorklist(const zx::Simplifier& simplifier);
 
 } // namespace veriqc::audit

@@ -342,85 +342,87 @@ private:
 } // namespace
 
 bool Json::asBool() const {
-  if (kind_ != Kind::Boolean) {
-    kindError("boolean", kind_);
+  if (!isBool()) {
+    kindError("boolean", kind());
   }
-  return bool_;
+  return std::get<bool>(value_);
 }
 
 std::int64_t Json::asInt() const {
-  if (kind_ == Kind::Integer) {
-    return int_;
+  if (!isInteger()) {
+    kindError("integer", kind());
   }
-  kindError("integer", kind_);
+  return std::get<std::int64_t>(value_);
 }
 
 double Json::asDouble() const {
-  if (kind_ == Kind::Double) {
-    return double_;
+  if (kind() == Kind::Double) {
+    return std::get<double>(value_);
   }
-  if (kind_ == Kind::Integer) {
-    return static_cast<double>(int_);
+  if (isInteger()) {
+    return static_cast<double>(std::get<std::int64_t>(value_));
   }
-  kindError("number", kind_);
+  kindError("number", kind());
 }
 
 const std::string& Json::asString() const {
-  if (kind_ != Kind::String) {
-    kindError("string", kind_);
+  if (!isString()) {
+    kindError("string", kind());
   }
-  return string_;
+  return std::get<std::string>(value_);
 }
 
 const Json::Array& Json::asArray() const {
-  if (kind_ != Kind::Array) {
-    kindError("array", kind_);
+  if (!isArray()) {
+    kindError("array", kind());
   }
-  return array_;
+  return std::get<Array>(value_);
 }
 
 const Json::Object& Json::asObject() const {
-  if (kind_ != Kind::Object) {
-    kindError("object", kind_);
+  if (!isObject()) {
+    kindError("object", kind());
   }
-  return object_;
+  return std::get<Object>(value_);
 }
 
 std::size_t Json::size() const noexcept {
-  if (kind_ == Kind::Array) {
-    return array_.size();
+  if (isArray()) {
+    return std::get<Array>(value_).size();
   }
-  if (kind_ == Kind::Object) {
-    return object_.size();
+  if (isObject()) {
+    return std::get<Object>(value_).size();
   }
   return 0;
 }
 
 Json& Json::push_back(Json value) {
-  if (kind_ == Kind::Null) {
-    kind_ = Kind::Array;
+  if (isNull()) {
+    value_.emplace<Array>();
   }
-  if (kind_ != Kind::Array) {
-    kindError("array", kind_);
+  if (!isArray()) {
+    kindError("array", kind());
   }
-  array_.push_back(std::move(value));
-  return array_.back();
+  auto& array = std::get<Array>(value_);
+  array.push_back(std::move(value));
+  return array.back();
 }
 
 Json& Json::operator[](const std::string_view key) {
-  if (kind_ == Kind::Null) {
-    kind_ = Kind::Object;
+  if (isNull()) {
+    value_.emplace<Object>();
   }
-  if (kind_ != Kind::Object) {
-    kindError("object", kind_);
+  if (!isObject()) {
+    kindError("object", kind());
   }
-  for (auto& [name, value] : object_) {
+  auto& object = std::get<Object>(value_);
+  for (auto& [name, value] : object) {
     if (name == key) {
       return value;
     }
   }
-  object_.emplace_back(std::string(key), Json{});
-  return object_.back().second;
+  object.emplace_back(std::string(key), Json{});
+  return object.back().second;
 }
 
 bool Json::contains(const std::string_view key) const noexcept {
@@ -428,10 +430,10 @@ bool Json::contains(const std::string_view key) const noexcept {
 }
 
 const Json* Json::find(const std::string_view key) const noexcept {
-  if (kind_ != Kind::Object) {
+  if (!isObject()) {
     return nullptr;
   }
-  for (const auto& [name, value] : object_) {
+  for (const auto& [name, value] : std::get<Object>(value_)) {
     if (name == key) {
       return &value;
     }
@@ -451,23 +453,7 @@ bool operator==(const Json& lhs, const Json& rhs) {
   if (lhs.isNumber() && rhs.isNumber()) {
     return lhs.asDouble() == rhs.asDouble();
   }
-  if (lhs.kind_ != rhs.kind_) {
-    return false;
-  }
-  switch (lhs.kind_) {
-  case Json::Kind::Null:
-    return true;
-  case Json::Kind::Boolean:
-    return lhs.bool_ == rhs.bool_;
-  case Json::Kind::String:
-    return lhs.string_ == rhs.string_;
-  case Json::Kind::Array:
-    return lhs.array_ == rhs.array_;
-  case Json::Kind::Object:
-    return lhs.object_ == rhs.object_;
-  default:
-    return false; // numbers handled above
-  }
+  return lhs.value_ == rhs.value_;
 }
 
 void Json::dumpTo(std::string& out, const int indent, const int depth) const {
@@ -477,62 +463,67 @@ void Json::dumpTo(std::string& out, const int indent, const int depth) const {
       out.append(static_cast<std::size_t>(indent * d), ' ');
     }
   };
-  switch (kind_) {
+  switch (kind()) {
   case Kind::Null:
     out += "null";
     break;
   case Kind::Boolean:
-    out += bool_ ? "true" : "false";
+    out += std::get<bool>(value_) ? "true" : "false";
     break;
   case Kind::Integer: {
     char buf[24];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), int_);
+    const auto [ptr, ec] =
+        std::to_chars(buf, buf + sizeof(buf), std::get<std::int64_t>(value_));
     out.append(buf, ptr);
     break;
   }
   case Kind::Double:
-    appendDouble(out, double_);
+    appendDouble(out, std::get<double>(value_));
     break;
   case Kind::String:
-    escapeString(out, string_);
+    escapeString(out, std::get<std::string>(value_));
     break;
-  case Kind::Array:
-    if (array_.empty()) {
+  case Kind::Array: {
+    const auto& array = std::get<Array>(value_);
+    if (array.empty()) {
       out += "[]";
       break;
     }
     out.push_back('[');
-    for (std::size_t i = 0; i < array_.size(); ++i) {
+    for (std::size_t i = 0; i < array.size(); ++i) {
       if (i > 0) {
         out.push_back(',');
       }
       newline(depth + 1);
-      array_[i].dumpTo(out, indent, depth + 1);
+      array[i].dumpTo(out, indent, depth + 1);
     }
     newline(depth);
     out.push_back(']');
     break;
-  case Kind::Object:
-    if (object_.empty()) {
+  }
+  case Kind::Object: {
+    const auto& object = std::get<Object>(value_);
+    if (object.empty()) {
       out += "{}";
       break;
     }
     out.push_back('{');
-    for (std::size_t i = 0; i < object_.size(); ++i) {
+    for (std::size_t i = 0; i < object.size(); ++i) {
       if (i > 0) {
         out.push_back(',');
       }
       newline(depth + 1);
-      escapeString(out, object_[i].first);
+      escapeString(out, object[i].first);
       out.push_back(':');
       if (indent >= 0) {
         out.push_back(' ');
       }
-      object_[i].second.dumpTo(out, indent, depth + 1);
+      object[i].second.dumpTo(out, indent, depth + 1);
     }
     newline(depth);
     out.push_back('}');
     break;
+  }
   }
 }
 

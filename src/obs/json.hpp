@@ -10,13 +10,19 @@
 ///    identically, and
 ///  - doubles are printed in shortest round-trip form via std::to_chars,
 ///    which is deterministic across runs and platforms.
+///
+/// A node holds its value in one std::variant whose alternatives follow
+/// Kind order, so a node costs its largest alternative (a std::string) plus
+/// the index: 40 B on 64-bit libstdc++, and 72 B per object member.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace veriqc::obs {
@@ -50,38 +56,48 @@ public:
 
   Json() = default;
   Json(std::nullptr_t) {}
-  Json(bool value) : kind_(Kind::Boolean), bool_(value) {}
-  Json(double value) : kind_(Kind::Double), double_(value) {}
-  Json(std::int64_t value) : kind_(Kind::Integer), int_(value) {}
+  Json(bool value) : value_(std::in_place_type<bool>, value) {}
+  Json(double value) : value_(std::in_place_type<double>, value) {}
+  Json(std::int64_t value) : value_(std::in_place_type<std::int64_t>, value) {}
   Json(int value) : Json(static_cast<std::int64_t>(value)) {}
   Json(std::size_t value) : Json(static_cast<std::int64_t>(value)) {}
-  Json(const char* value) : kind_(Kind::String), string_(value) {}
-  Json(std::string value) : kind_(Kind::String), string_(std::move(value)) {}
-  Json(std::string_view value) : kind_(Kind::String), string_(value) {}
+  Json(const char* value) : value_(std::in_place_type<std::string>, value) {}
+  Json(std::string value)
+      : value_(std::in_place_type<std::string>, std::move(value)) {}
+  Json(std::string_view value)
+      : value_(std::in_place_type<std::string>, value) {}
 
   [[nodiscard]] static Json array() {
     Json j;
-    j.kind_ = Kind::Array;
+    j.value_.emplace<Array>();
     return j;
   }
   [[nodiscard]] static Json object() {
     Json j;
-    j.kind_ = Kind::Object;
+    j.value_.emplace<Object>();
     return j;
   }
 
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool isNull() const noexcept { return kind_ == Kind::Null; }
-  [[nodiscard]] bool isBool() const noexcept { return kind_ == Kind::Boolean; }
+  [[nodiscard]] Kind kind() const noexcept {
+    return static_cast<Kind>(value_.index());
+  }
+  [[nodiscard]] bool isNull() const noexcept { return kind() == Kind::Null; }
+  [[nodiscard]] bool isBool() const noexcept {
+    return kind() == Kind::Boolean;
+  }
   [[nodiscard]] bool isNumber() const noexcept {
-    return kind_ == Kind::Integer || kind_ == Kind::Double;
+    return kind() == Kind::Integer || kind() == Kind::Double;
   }
   [[nodiscard]] bool isInteger() const noexcept {
-    return kind_ == Kind::Integer;
+    return kind() == Kind::Integer;
   }
-  [[nodiscard]] bool isString() const noexcept { return kind_ == Kind::String; }
-  [[nodiscard]] bool isArray() const noexcept { return kind_ == Kind::Array; }
-  [[nodiscard]] bool isObject() const noexcept { return kind_ == Kind::Object; }
+  [[nodiscard]] bool isString() const noexcept {
+    return kind() == Kind::String;
+  }
+  [[nodiscard]] bool isArray() const noexcept { return kind() == Kind::Array; }
+  [[nodiscard]] bool isObject() const noexcept {
+    return kind() == Kind::Object;
+  }
 
   /// \throws JsonError when the value is not of the requested kind.
   [[nodiscard]] bool asBool() const;
@@ -124,13 +140,10 @@ public:
 private:
   void dumpTo(std::string& out, int indent, int depth) const;
 
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  /// Alternatives in Kind order: value_.index() is the Kind.
+  std::variant<std::nullptr_t, bool, std::int64_t, double, std::string,
+               Array, Object>
+      value_;
 };
 
 } // namespace veriqc::obs

@@ -14,7 +14,34 @@ namespace veriqc::zx {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Marks a rule whose passes always seed every live vertex.
+constexpr int kFullSeed = -1;
+
+/// Read radius of each rule's match predicate, indexed by SimplifyRule: the
+/// graph distance from a candidate at which the predicate reads mutable
+/// state (phase, adjacency row or degree, presence). Vertex types are fixed
+/// once toZForm has run, so they do not count.
+constexpr std::array<int, kSimplifyRuleCount> kReadRadius = {
+    0,         // spider: the candidate's row
+    0,         // id: the candidate's phase and row
+    0,         // lcomp: the candidate's phase and row
+    1,         // pivot: the partner's phase and row
+    2,         // pivotGadget: hasLeafNeighbor(partner) reads degrees
+    1,         // pivotBound: the partner's phase and row
+    kFullSeed, // gadget: its `seen` registry lives for one pass only
+};
+
+std::uint8_t ruleBit(const SimplifyRule rule) {
+  return static_cast<std::uint8_t>(1U << static_cast<unsigned>(rule));
 }
+
+void sortUnique(std::vector<Vertex>& vertices) {
+  std::sort(vertices.begin(), vertices.end());
+  vertices.erase(std::unique(vertices.begin(), vertices.end()),
+                 vertices.end());
+}
+} // namespace
 
 double SimplifyStats::totalSeconds() const noexcept {
   double sum = 0.0;
@@ -73,6 +100,26 @@ void Simplifier::Worklist::reset(const ZXDiagram& g) {
 
 void Simplifier::Worklist::reset(const ZXDiagram& g, const Vertex lo,
                                  const Vertex hi) {
+  restart(g);
+  const Vertex end = std::min(hi, g.vertexBound());
+  for (Vertex v = lo; v < end; ++v) {
+    if (g.isPresent(v)) {
+      sweep_.push_back(v); // ascending: already a valid min-heap
+      stamp_[v] = generation_;
+    }
+  }
+}
+
+void Simplifier::Worklist::reset(const ZXDiagram& g,
+                                 const std::vector<Vertex>& seeds) {
+  restart(g);
+  sweep_.assign(seeds.begin(), seeds.end()); // sorted: a valid min-heap
+  for (const Vertex v : sweep_) {
+    stamp_[v] = generation_;
+  }
+}
+
+void Simplifier::Worklist::restart(const ZXDiagram& g) {
   generation_ += 2; // invalidates both current- and next-sweep stamps
   sweep_.clear();
   nextSweep_.clear();
@@ -80,13 +127,6 @@ void Simplifier::Worklist::reset(const ZXDiagram& g, const Vertex lo,
   const auto bound = static_cast<std::size_t>(g.vertexBound());
   if (stamp_.size() < bound) {
     stamp_.resize(bound, 0);
-  }
-  const Vertex end = std::min(hi, static_cast<Vertex>(bound));
-  for (Vertex v = lo; v < end; ++v) {
-    if (g.isPresent(v)) {
-      sweep_.push_back(v); // ascending: already a valid min-heap
-      stamp_[v] = generation_;
-    }
   }
 }
 
@@ -175,6 +215,59 @@ std::vector<std::string> Simplifier::Worklist::checkInvariant() const {
   return issues;
 }
 
+// --- change mask -------------------------------------------------------------
+
+void Simplifier::ChangeMask::mark(const Vertex v, const std::uint8_t rules) {
+  if (rules == 0) {
+    return;
+  }
+  if (v >= bits_.size()) {
+    bits_.resize(static_cast<std::size_t>(v) + 1, 0);
+  }
+  if (bits_[v] == 0) {
+    listed_.push_back(v);
+  }
+  bits_[v] |= rules;
+}
+
+void Simplifier::ChangeMask::clear(const std::uint8_t rules) {
+  std::size_t kept = 0;
+  for (const Vertex v : listed_) {
+    bits_[v] &= static_cast<std::uint8_t>(~rules);
+    if (bits_[v] != 0) {
+      listed_[kept++] = v;
+    }
+  }
+  listed_.resize(kept);
+}
+
+void Simplifier::ChangeMask::reset() { clear(0xFF); }
+
+std::vector<std::string> Simplifier::ChangeMask::checkInvariant() const {
+  std::vector<std::string> issues;
+  auto listed = listed_;
+  std::sort(listed.begin(), listed.end());
+  for (std::size_t i = 0; i < listed.size(); ++i) {
+    const Vertex v = listed[i];
+    if (i > 0 && listed[i - 1] == v) {
+      issues.push_back("vertex " + std::to_string(v) +
+                       " listed more than once");
+    }
+    if (rules(v) == 0) {
+      issues.push_back("vertex " + std::to_string(v) +
+                       " listed with an empty change mask");
+    }
+  }
+  for (std::size_t v = 0; v < bits_.size(); ++v) {
+    if (bits_[v] != 0 && !std::binary_search(listed.begin(), listed.end(),
+                                             static_cast<Vertex>(v))) {
+      issues.push_back("vertex " + std::to_string(v) +
+                       " has a change mask but is not listed");
+    }
+  }
+  return issues;
+}
+
 // --- simplifier --------------------------------------------------------------
 
 Simplifier::Simplifier(ZXDiagram& diagram, std::function<bool()> shouldStop,
@@ -230,10 +323,13 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
   enforceVertexBudget();
   if (regionMode_) {
     worklist_.reset(g_, regionLo_, regionHi_);
+  } else if ((atFixpoint_ & ruleBit(rule)) != 0) {
+    seedChanged(rule);
   } else {
     worklist_.reset(g_);
   }
   std::size_t count = 0;
+  bool stopped = false;
   while (!worklist_.empty()) {
     const Vertex v = worklist_.pop();
     ++rs.candidates;
@@ -242,6 +338,7 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
     // (or a few vertices past the budget) is harmless.
     if ((rs.candidates & 15U) == 0) {
       if (stopping()) {
+        stopped = true;
         break;
       }
       enforceVertexBudget();
@@ -254,9 +351,92 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
       count += applied;
     }
   }
+  // Every rewrite re-enqueued its rule's read radius around what it
+  // changed, so a drained pass leaves no match anywhere: from here on the
+  // rule only needs to look near later changes.
+  if (!stopped && !regionMode_ &&
+      kReadRadius[static_cast<std::size_t>(rule)] != kFullSeed) {
+    changes_.clear(ruleBit(rule));
+    atFixpoint_ |= ruleBit(rule);
+  }
   rs.rewrites += count;
   rs.seconds += std::chrono::duration<double>(Clock::now() - start).count();
   return count;
+}
+
+void Simplifier::seedChanged(const SimplifyRule rule) {
+  seeds_.clear();
+  for (const Vertex v : changes_.listed()) {
+    if ((changes_.rules(v) & ruleBit(rule)) != 0 && g_.isPresent(v)) {
+      seeds_.push_back(v);
+    }
+  }
+  // Grow the seeds hop by hop out to the radius; neighbors of live vertices
+  // are live.
+  for (int hop = 0; hop < kReadRadius[static_cast<std::size_t>(rule)];
+       ++hop) {
+    sortUnique(seeds_);
+    const std::size_t frontier = seeds_.size();
+    for (std::size_t i = 0; i < frontier; ++i) {
+      for (const auto& [w, mult] : g_.neighbors(seeds_[i])) {
+        seeds_.push_back(w);
+      }
+    }
+  }
+  sortUnique(seeds_);
+  worklist_.reset(g_, seeds_);
+}
+
+void Simplifier::resetChangeTracking() {
+  changes_.reset();
+  atFixpoint_ = 0;
+}
+
+Vertex Simplifier::addVertex(const VertexType type, const PiRational phase) {
+  const Vertex v = g_.addVertex(type, phase);
+  markChanged(v);
+  return v;
+}
+
+void Simplifier::addEdge(const Vertex u, const Vertex v, const EdgeType type) {
+  g_.addEdge(u, v, type);
+  markChanged(u);
+  markChanged(v);
+}
+
+void Simplifier::removeEdge(const Vertex u, const Vertex v,
+                            const EdgeType type) {
+  g_.removeEdge(u, v, type);
+  markChanged(u);
+  markChanged(v);
+}
+
+void Simplifier::removeAllEdges(const Vertex u, const Vertex v) {
+  g_.removeAllEdges(u, v);
+  markChanged(u);
+  markChanged(v);
+}
+
+void Simplifier::removeVertex(const Vertex v) {
+  for (const auto& [w, mult] : g_.neighbors(v)) {
+    markChanged(w);
+  }
+  g_.removeVertex(v);
+}
+
+void Simplifier::addPhase(const Vertex v, const PiRational& delta) {
+  g_.addPhase(v, delta);
+  markChanged(v);
+}
+
+void Simplifier::setPhase(const Vertex v, const PiRational phase) {
+  g_.setPhase(v, phase);
+  markChanged(v);
+}
+
+void Simplifier::setType(const Vertex v, const VertexType type) {
+  g_.setType(v, type);
+  markChanged(v);
 }
 
 void Simplifier::touchNeighborhood(const Vertex v) {
@@ -284,9 +464,9 @@ void Simplifier::normalizeVertex(const Vertex v) {
   if (loops.total() == 0) {
     return;
   }
-  g_.removeAllEdges(v, v);
+  removeAllEdges(v, v);
   if (loops.hadamard % 2 == 1) {
-    g_.addPhase(v, PiRational::pi());
+    addPhase(v, PiRational::pi());
   }
 }
 
@@ -297,40 +477,40 @@ void Simplifier::normalizePair(const Vertex u, const Vertex v) {
   const auto mult = g_.edge(u, v);
   // Parallel Hadamard edges between Z spiders cancel pairwise (Hopf law).
   for (int i = 0; i + 1 < mult.hadamard; i += 2) {
-    g_.removeEdge(u, v, EdgeType::Hadamard);
-    g_.removeEdge(u, v, EdgeType::Hadamard);
+    removeEdge(u, v, EdgeType::Hadamard);
+    removeEdge(u, v, EdgeType::Hadamard);
   }
 }
 
 void Simplifier::fuse(const Vertex u, const Vertex v) {
-  g_.addPhase(u, g_.phase(v));
+  addPhase(u, g_.phase(v));
   const auto vAdj = g_.neighbors(v); // copy
   for (const auto& [w, mult] : vAdj) {
     if (w == v) {
       for (int i = 0; i < mult.simple; ++i) {
-        g_.addEdge(u, u, EdgeType::Simple);
+        addEdge(u, u, EdgeType::Simple);
       }
       for (int i = 0; i < mult.hadamard; ++i) {
-        g_.addEdge(u, u, EdgeType::Hadamard);
+        addEdge(u, u, EdgeType::Hadamard);
       }
     } else if (w == u) {
       // One plain edge is consumed by the fusion; the rest become loops.
       for (int i = 0; i + 1 < mult.simple; ++i) {
-        g_.addEdge(u, u, EdgeType::Simple);
+        addEdge(u, u, EdgeType::Simple);
       }
       for (int i = 0; i < mult.hadamard; ++i) {
-        g_.addEdge(u, u, EdgeType::Hadamard);
+        addEdge(u, u, EdgeType::Hadamard);
       }
     } else {
       for (int i = 0; i < mult.simple; ++i) {
-        g_.addEdge(u, w, EdgeType::Simple);
+        addEdge(u, w, EdgeType::Simple);
       }
       for (int i = 0; i < mult.hadamard; ++i) {
-        g_.addEdge(u, w, EdgeType::Hadamard);
+        addEdge(u, w, EdgeType::Hadamard);
       }
     }
   }
-  g_.removeVertex(v);
+  removeVertex(v);
   normalizeVertex(u);
   const auto uAdj = g_.neighbors(u); // copy for safe normalization
   for (const auto& [w, mult] : uAdj) {
@@ -381,6 +561,7 @@ std::size_t Simplifier::spiderSimp() {
 }
 
 void Simplifier::toGraphLike() {
+  resetChangeTracking();
   toZForm();
   finishGraphLike();
 }
@@ -395,15 +576,15 @@ void Simplifier::toZForm() {
       if (w == v) {
         continue; // both loop endpoints toggle: type is unchanged
       }
-      g_.removeAllEdges(v, w);
+      removeAllEdges(v, w);
       for (int i = 0; i < mult.hadamard; ++i) {
-        g_.addEdge(v, w, EdgeType::Simple);
+        addEdge(v, w, EdgeType::Simple);
       }
       for (int i = 0; i < mult.simple; ++i) {
-        g_.addEdge(v, w, EdgeType::Hadamard);
+        addEdge(v, w, EdgeType::Hadamard);
       }
     }
-    g_.setType(v, VertexType::Z);
+    setType(v, VertexType::Z);
   }
   for (const auto v : g_.vertices()) {
     if (isInteriorZ(v)) {
@@ -453,9 +634,9 @@ std::size_t Simplifier::tryId(const Vertex v) {
       return 0; // malformed boundary; leave untouched
     }
     const bool loopIsHadamard = (mult.hadamard % 2) == 1;
-    g_.removeVertex(v);
+    removeVertex(v);
     if (loopIsHadamard) {
-      g_.addPhase(w, PiRational::pi());
+      addPhase(w, PiRational::pi());
     }
     ++stats_.idRemovals;
     touchNeighborhood(w);
@@ -465,10 +646,10 @@ std::size_t Simplifier::tryId(const Vertex v) {
   const Vertex w2 = adj[1].vertex;
   const bool h1 = adj[0].edges.hadamard == 1;
   const bool h2 = adj[1].edges.hadamard == 1;
-  g_.removeVertex(v);
+  removeVertex(v);
   const EdgeType combined = (h1 != h2) ? EdgeType::Hadamard
                                        : EdgeType::Simple;
-  g_.addEdge(w1, w2, combined);
+  addEdge(w1, w2, combined);
   ++stats_.idRemovals;
   if (isInteriorZ(w1) && isInteriorZ(w2)) {
     if (g_.edge(w1, w2).simple > 0) {
@@ -489,9 +670,9 @@ std::size_t Simplifier::idSimp() {
 
 void Simplifier::toggleHadamard(const Vertex a, const Vertex b) {
   if (g_.edge(a, b).hadamard > 0) {
-    g_.removeEdge(a, b, EdgeType::Hadamard);
+    removeEdge(a, b, EdgeType::Hadamard);
   } else {
-    g_.addEdge(a, b, EdgeType::Hadamard);
+    addEdge(a, b, EdgeType::Hadamard);
   }
 }
 
@@ -506,14 +687,14 @@ std::size_t Simplifier::tryLcomp(const Vertex v) {
     neighborhood.push_back(w);
   }
   const PiRational delta = -g_.phase(v);
-  g_.removeVertex(v);
+  removeVertex(v);
   for (std::size_t i = 0; i < neighborhood.size(); ++i) {
     for (std::size_t j = i + 1; j < neighborhood.size(); ++j) {
       toggleHadamard(neighborhood[i], neighborhood[j]);
     }
   }
   for (const auto w : neighborhood) {
-    g_.addPhase(w, delta);
+    addPhase(w, delta);
   }
   for (const auto w : neighborhood) {
     touchNeighborhood(w);
@@ -548,8 +729,8 @@ void Simplifier::pivot(const Vertex u, const Vertex v, const int touchDepth) {
   }
   const PiRational pu = g_.phase(u);
   const PiRational pv = g_.phase(v);
-  g_.removeVertex(u);
-  g_.removeVertex(v);
+  removeVertex(u);
+  removeVertex(v);
   for (const auto a : exclusiveU) {
     for (const auto b : exclusiveV) {
       toggleHadamard(a, b);
@@ -566,13 +747,13 @@ void Simplifier::pivot(const Vertex u, const Vertex v, const int touchDepth) {
     }
   }
   for (const auto a : exclusiveU) {
-    g_.addPhase(a, pv);
+    addPhase(a, pv);
   }
   for (const auto b : exclusiveV) {
-    g_.addPhase(b, pu);
+    addPhase(b, pu);
   }
   for (const auto c : common) {
-    g_.addPhase(c, pu + pv + PiRational::pi());
+    addPhase(c, pu + pv + PiRational::pi());
   }
   // Everything whose edges or phase changed — and its neighbors, whose
   // match status can depend on those phases and edges — goes back on the
@@ -618,11 +799,11 @@ std::size_t Simplifier::pivotSimp() {
 }
 
 void Simplifier::gadgetize(const Vertex v) {
-  const Vertex hub = g_.addVertex(VertexType::Z);
-  const Vertex leaf = g_.addVertex(VertexType::Z, g_.phase(v));
-  g_.addEdge(v, hub, EdgeType::Hadamard);
-  g_.addEdge(hub, leaf, EdgeType::Hadamard);
-  g_.setPhase(v, PiRational{});
+  const Vertex hub = addVertex(VertexType::Z);
+  const Vertex leaf = addVertex(VertexType::Z, g_.phase(v));
+  addEdge(v, hub, EdgeType::Hadamard);
+  addEdge(hub, leaf, EdgeType::Hadamard);
+  setPhase(v, PiRational{});
   worklist_.push(v);
   worklist_.push(hub);
   worklist_.push(leaf);
@@ -667,12 +848,12 @@ void Simplifier::unfuseBoundary(const Vertex b, const Vertex v) {
   const auto mult = g_.edge(b, v);
   const EdgeType original =
       mult.hadamard > 0 ? EdgeType::Hadamard : EdgeType::Simple;
-  g_.removeEdge(b, v, original);
-  const Vertex w = g_.addVertex(VertexType::Z);
-  g_.addEdge(b, w,
+  removeEdge(b, v, original);
+  const Vertex w = addVertex(VertexType::Z);
+  addEdge(b, w,
              original == EdgeType::Simple ? EdgeType::Hadamard
                                           : EdgeType::Simple);
-  g_.addEdge(w, v, EdgeType::Hadamard);
+  addEdge(w, v, EdgeType::Hadamard);
   worklist_.push(v);
   worklist_.push(w);
 }
@@ -772,10 +953,10 @@ std::size_t Simplifier::gadgetSimp() {
           it->second = {hub, leaf};
           return std::size_t{0};
         }
-        g_.addPhase(leaf0, g_.phase(leaf));
+        addPhase(leaf0, g_.phase(leaf));
         const auto hubAdj = g_.neighbors(hub); // copy: removal invalidates
-        g_.removeVertex(leaf);
-        g_.removeVertex(hub);
+        removeVertex(leaf);
+        removeVertex(hub);
         for (const auto& [w, mult] : hubAdj) {
           if (w != leaf) {
             touchNeighborhood(w);
@@ -923,6 +1104,7 @@ bool Simplifier::fullReduce() {
   // same fixpoints from whatever state the pre-pass left, so the reduced
   // diagram is independent of the region count. With parallelRegions <= 1
   // this is exactly the classic toGraphLike() + interiorCliffordSimp().
+  resetChangeTracking();
   toZForm();
   parallelPrepass();
   finishGraphLike();

@@ -8,12 +8,18 @@
 /// phase.
 ///
 /// Scheduling is worklist-driven: each rule pass seeds a candidate queue
-/// once from the live vertices and every rewrite re-enqueues only the
-/// touched vertex neighborhoods, so a pass costs O(diagram + work done)
-/// instead of restarting full-diagram scans after each rewrite. Candidates
-/// are processed in ascending-id rounds, which reproduces the rewrite order
-/// (and therefore the SimplifyStats counts) of the previous scan-based
-/// engine.
+/// once and every rewrite re-enqueues only the touched vertex
+/// neighborhoods. Candidates are processed in ascending-id rounds, which
+/// reproduces the rewrite order (and therefore the SimplifyStats counts) of
+/// the previous scan-based engine.
+///
+/// Seeding is incremental. A drained pass leaves no match for its rule, so
+/// the rule's next pass seeds only the live vertices within its read radius
+/// of a vertex changed since then (tracked by a per-vertex change mask);
+/// only the first pass of each rule after fullReduce()/toGraphLike() seeds
+/// every live vertex. A later pass thus costs the size of the changed
+/// neighborhoods plus the work done, not O(diagram); in exchange the diagram
+/// must only be mutated through the simplifier between its passes.
 #pragma once
 
 #include "ir/permutation.hpp"
@@ -21,6 +27,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -178,6 +185,9 @@ public:
     /// As reset(g), but seed only live vertices with lo <= id < hi (the
     /// region-restricted passes of the parallel pre-pass).
     void reset(const ZXDiagram& g, Vertex lo, Vertex hi);
+    /// As reset(g), but seed exactly `seeds`: live vertices of g, sorted
+    /// ascending without duplicates (the incremental passes).
+    void reset(const ZXDiagram& g, const std::vector<Vertex>& seeds);
     void push(Vertex v);
     [[nodiscard]] bool empty() const noexcept {
       return sweep_.empty() && nextSweep_.empty();
@@ -194,6 +204,9 @@ public:
   private:
     friend struct WorklistTestAccess; ///< mutation tests corrupt state here
 
+    /// Invalidate all queued entries and size the stamps for g.
+    void restart(const ZXDiagram& g);
+
     /// Min-heaps: candidates for the current and the following sweep. A
     /// sorted seed vector is already a valid min-heap, so reset() adopts it
     /// without re-heapifying element by element.
@@ -209,7 +222,46 @@ public:
   /// The simplifier's worklist (read-only; for the audit layer).
   [[nodiscard]] const Worklist& worklist() const noexcept { return worklist_; }
 
+  /// Which vertices changed since each incremental rule last drained a
+  /// pass: one byte per vertex, one bit per rule (bit i = SimplifyRule i),
+  /// plus the list of vertices whose byte is nonzero, so the state stays
+  /// O(vertices) however long a reduction runs. Public so the audit layer
+  /// can validate the byte/list invariant; only Simplifier mutates it.
+  class ChangeMask {
+  public:
+    /// Set `rules` on v (a no-op for an empty rule set).
+    void mark(Vertex v, std::uint8_t rules);
+    /// Clear `rules` on every vertex, unlisting vertices left with none.
+    void clear(std::uint8_t rules);
+    /// Clear every bit.
+    void reset();
+    [[nodiscard]] const std::vector<Vertex>& listed() const noexcept {
+      return listed_;
+    }
+    [[nodiscard]] std::uint8_t rules(Vertex v) const noexcept {
+      return v < bits_.size() ? bits_[v] : 0;
+    }
+
+    /// Validates that every vertex with a nonzero byte is listed exactly
+    /// once and that no listed vertex has a zero byte. Returns
+    /// human-readable descriptions of all violations (empty when clean).
+    [[nodiscard]] std::vector<std::string> checkInvariant() const;
+
+  private:
+    friend struct ChangeMaskTestAccess; ///< mutation tests corrupt state here
+
+    std::vector<std::uint8_t> bits_;
+    std::vector<Vertex> listed_;
+  };
+
+  /// The simplifier's change mask (read-only; for the audit layer).
+  [[nodiscard]] const ChangeMask& changeMask() const noexcept {
+    return changes_;
+  }
+
 private:
+  friend struct SimplifierTestAccess; ///< tests drive tracked mutations
+
   [[nodiscard]] bool stopping() const { return shouldStop_ && shouldStop_(); }
   /// Region-parallel spider/id pre-pass of fullReduce: partitions the
   /// vertex-id space, runs one region-restricted sub-simplifier per range
@@ -243,11 +295,30 @@ private:
   /// All incident edges are Hadamard (neighbors may include boundaries).
   [[nodiscard]] bool allEdgesHadamardToSpiders(Vertex v) const;
 
-  /// Run one worklist pass: seed every live vertex, drain, let `tryRule`
-  /// apply rewrites at each candidate (returning how many it applied) and
-  /// re-enqueue what it touched. Returns the total rewrites applied.
+  /// Run one worklist pass: seed, drain, let `tryRule` apply rewrites at
+  /// each candidate (returning how many it applied) and re-enqueue what it
+  /// touched. Returns the total rewrites applied.
   template <typename TryRule>
   std::size_t runPass(SimplifyRule rule, TryRule&& tryRule);
+  /// Seed the worklist with the live vertices within the rule's read radius
+  /// of a vertex changed since the rule last drained a pass.
+  void seedChanged(SimplifyRule rule);
+  /// Forget all change tracking: every rule's next pass seeds every vertex.
+  void resetChangeTracking();
+
+  // Diagram mutations. Every rewrite goes through these, so the change mask
+  // sees each vertex whose phase, adjacency row or presence changed.
+  Vertex addVertex(VertexType type, PiRational phase = {});
+  void addEdge(Vertex u, Vertex v, EdgeType type);
+  void removeEdge(Vertex u, Vertex v, EdgeType type);
+  void removeAllEdges(Vertex u, Vertex v);
+  /// Marks v's neighbors, whose adjacency rows lose v.
+  void removeVertex(Vertex v);
+  void addPhase(Vertex v, const PiRational& delta);
+  void setPhase(Vertex v, PiRational phase);
+  void setType(Vertex v, VertexType type);
+  /// Record a change at v for every rule whose mask is live.
+  void markChanged(const Vertex v) { changes_.mark(v, atFixpoint_); }
 
   /// Re-enqueue v (if still present) and all its current neighbors.
   void touchNeighborhood(Vertex v);
@@ -288,6 +359,13 @@ private:
   SimplifierOptions options_;
   SimplifyStats stats_;
   Worklist worklist_;
+  ChangeMask changes_;
+  /// Rules (as SimplifyRule bits) that drained a pass since the last
+  /// resetChangeTracking(): only their next passes seed incrementally, and
+  /// only their bits are recorded in changes_.
+  std::uint8_t atFixpoint_ = 0;
+  /// Scratch for seedChanged(), kept to reuse its capacity.
+  std::vector<Vertex> seeds_;
 
   /// Region restriction of the parallel pre-pass. In region mode only the
   /// confluent, vertex-count-preserving-or-decreasing spider/id families

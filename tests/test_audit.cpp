@@ -39,6 +39,16 @@ struct WorklistTestAccess {
   }
 };
 
+/// Befriended by Simplifier::ChangeMask: plants byte/list corruption.
+struct ChangeMaskTestAccess {
+  static std::vector<std::uint8_t>& bits(Simplifier::ChangeMask& mask) {
+    return mask.bits_;
+  }
+  static std::vector<Vertex>& listed(Simplifier::ChangeMask& mask) {
+    return mask.listed_;
+  }
+};
+
 } // namespace veriqc::zx
 
 namespace veriqc {
@@ -446,6 +456,29 @@ TEST(ZxAuditTest, FlagsPendingStampWithoutQueueEntry) {
   stamps[0] = zx::WorklistTestAccess::generation(worklist);
   EXPECT_TRUE(hasCode(audit::auditWorklist(simplifier),
                       "zx.worklist.stamp"));
+}
+
+TEST(ZxAuditTest, FlagsChangeMaskCorruption) {
+  auto diagram = bellDiagram().compose(bellDiagram().adjoint());
+  zx::Simplifier simplifier(diagram);
+  ASSERT_TRUE(simplifier.fullReduce());
+  EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
+  auto& mask =
+      const_cast<zx::Simplifier::ChangeMask&>(simplifier.changeMask());
+  auto& bits = zx::ChangeMaskTestAccess::bits(mask);
+  auto& listed = zx::ChangeMaskTestAccess::listed(mask);
+  bits.assign(3, 0);
+  listed.clear();
+  EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
+  // Marked but unlisted: the rule's next pass would never seed vertex 1.
+  bits[1] = 1;
+  EXPECT_TRUE(hasCode(audit::auditWorklist(simplifier), "zx.worklist.mask"));
+  listed = {1};
+  EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
+  listed = {1, 1};
+  EXPECT_TRUE(hasCode(audit::auditWorklist(simplifier), "zx.worklist.mask"));
+  listed = {1, 2}; // vertex 2 is listed with an empty mask
+  EXPECT_TRUE(hasCode(audit::auditWorklist(simplifier), "zx.worklist.mask"));
 }
 
 TEST(ZxAuditTest, CleanAfterFullReduce) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,6 +126,22 @@ TEST(JsonEqualityTest, IntegerAndDoubleCompareByValue) {
   EXPECT_EQ(Json(1), Json(1.0));
   EXPECT_NE(Json(1), Json(1.5));
   EXPECT_NE(Json(1), Json("1"));
+}
+
+TEST(JsonLayoutTest, NodeHoldsOneAlternative) {
+  // veriqcd clients keep whole report trees, so a node holds its largest
+  // alternative plus an index, never every alternative side by side.
+  EXPECT_LE(sizeof(Json), sizeof(std::string) + sizeof(void*));
+  auto j = Json::object();
+  j["a"] = Json::array();
+  j["a"].push_back(true);
+  EXPECT_EQ(j.kind(), Json::Kind::Object);
+  EXPECT_EQ(j.at("a").kind(), Json::Kind::Array);
+  EXPECT_EQ(j.at("a").asArray().front().kind(), Json::Kind::Boolean);
+  EXPECT_EQ(Json(nullptr).kind(), Json::Kind::Null);
+  EXPECT_EQ(Json(7).kind(), Json::Kind::Integer);
+  EXPECT_EQ(Json(7.5).kind(), Json::Kind::Double);
+  EXPECT_EQ(Json("s").kind(), Json::Kind::String);
 }
 
 // --- phase timer -------------------------------------------------------------

@@ -11,9 +11,11 @@
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstddef>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -29,10 +31,18 @@ using veriqc::obs::Json;
 
 namespace {
 
+/// Writes a fixture under TempDir(). Every test process (ctest -j runs them
+/// side by side) writes the same fixtures, so each writes a file of its own
+/// and renames it into place: a concurrent reader sees one complete file or
+/// the other, never a truncated one.
 std::string writeFile(const std::string& name, const std::string& text) {
   const auto path = std::string(::testing::TempDir()) + name;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << text;
+  const auto staging = path + "." + std::to_string(::getpid()) + ".tmp";
+  {
+    std::ofstream out(staging, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  std::filesystem::rename(staging, path);
   return path;
 }
 

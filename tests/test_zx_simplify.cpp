@@ -1,4 +1,8 @@
 #include "circuits/benchmarks.hpp"
+#include "circuits/error_injection.hpp"
+#include "compile/architecture.hpp"
+#include "compile/decompose.hpp"
+#include "compile/mapper.hpp"
 #include "sim/dense.hpp"
 #include "zx/circuit_to_zx.hpp"
 #include "zx/simplify.hpp"
@@ -6,13 +10,30 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace veriqc::zx {
+
+/// Befriended by Simplifier: mutates the diagram through the same tracked
+/// helpers the rewrite rules use.
+struct SimplifierTestAccess {
+  static Vertex addVertex(Simplifier& s, const VertexType type,
+                          const PiRational phase) {
+    return s.addVertex(type, phase);
+  }
+  static void addEdge(Simplifier& s, const Vertex u, const Vertex v,
+                      const EdgeType type) {
+    s.addEdge(u, v, type);
+  }
+};
+
 namespace {
 
 /// Every pass must preserve the linear map up to a scalar.
@@ -465,6 +486,260 @@ TEST(SimplifierBudgetTest, GenerousBudgetDoesNotInterfere) {
   Simplifier s(d, {}, options);
   ASSERT_TRUE(s.fullReduce());
   EXPECT_TRUE(proportional(toMatrix(d), before));
+}
+
+// --- incremental scheduling ---------------------------------------------------
+
+/// FNV-1a of the diagram's text form: a platform-independent fingerprint of
+/// a reduced diagram (vertex ids, phases and every edge).
+std::uint64_t fingerprint(const ZXDiagram& d) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : d.toString()) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  return hash;
+}
+
+/// One fullReduce as text: family counts (f), per-rule matches (m) and
+/// rewrites (r) in SimplifyRule order, remaining spiders (s) and the reduced
+/// diagram's fingerprint (h). Candidates and seconds are left out: they
+/// depend on how passes are seeded, the rest is the rewrite contract.
+std::string reductionDigest(ZXDiagram d) {
+  Simplifier s(d);
+  EXPECT_TRUE(s.fullReduce());
+  const auto& st = s.stats();
+  std::ostringstream os;
+  os << "f" << st.spiderFusions << ',' << st.idRemovals << ','
+     << st.localComplementations << ',' << st.pivots << ','
+     << st.gadgetPivots << ',' << st.boundaryPivots << ','
+     << st.gadgetFusions;
+  const auto perRule = [&os, &st](const char* tag, auto field) {
+    os << tag;
+    for (std::size_t i = 0; i < st.rules.size(); ++i) {
+      os << (i == 0 ? "" : ",") << st.rules[i].*field;
+    }
+  };
+  perRule(" m", &RuleStats::matches);
+  perRule(" r", &RuleStats::rewrites);
+  os << " s" << d.spiderCount() << " h" << std::hex << fingerprint(d);
+  return os.str();
+}
+
+/// G composed with the adjoint of G', aligned and decomposed as zxCheck
+/// builds it.
+ZXDiagram checkDiagram(const QuantumCircuit& g, const QuantumCircuit& gPrime) {
+  const auto [a, b] = alignCircuits(g, gPrime);
+  return circuitToZX(compile::decomposeForZX(a))
+      .compose(circuitToZX(compile::decomposeForZX(b)).adjoint());
+}
+
+QuantumCircuit flippedCnot(const QuantumCircuit& c, const std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto flipped = circuits::flipRandomCnot(c, rng);
+  EXPECT_TRUE(flipped.has_value());
+  return *flipped;
+}
+
+/// Compiled to the 65-qubit heavy hex, as in the paper's Table 1.
+QuantumCircuit compiled(const QuantumCircuit& c) {
+  return compile::compileForArchitecture(
+      c, compile::Architecture::ibmManhattanLike());
+}
+
+TEST(ZXIncrementalTest, RandomCliffordTReductionsMatchRecordedBaselines) {
+  // Recorded before passes were seeded incrementally: seeding may only
+  // change how many candidates a pass examines, never what it rewrites.
+  const char* const expected[] = {
+      "f240,5,36,15,8,1,0 m64,5,36,15,8,1,0 r235,5,36,15,8,1,0 s43 "
+      "hbeaf89a15f67ed55",
+      "f236,2,49,10,10,2,0 m69,2,49,10,10,2,0 r234,2,49,10,10,2,0 s49 "
+      "hcb6565014c8d95c1",
+      "f227,6,35,21,10,1,0 m86,6,35,21,10,1,0 r223,6,35,21,10,1,0 s58 "
+      "he1ee7aa01f4626af",
+      "f240,8,29,22,7,2,0 m71,8,29,22,7,2,0 r232,8,29,22,7,2,0 s41 "
+      "h982fac7c90eaf91e",
+      "f307,79,0,0,0,0,0 m73,79,0,0,0,0,0 r233,79,0,0,0,0,0 s0 "
+      "had0d6fcd31818bda",
+      "f302,65,2,4,0,1,0 m73,65,2,4,0,1,0 r237,65,2,4,0,1,0 s8 "
+      "hf91f99577cb17f8c",
+      "f335,53,0,0,0,0,0 m61,53,0,0,0,0,0 r287,53,0,0,0,0,0 s0 "
+      "hbd3099bbde92fe56",
+      "f333,45,0,0,0,1,0 m60,45,0,0,0,1,0 r289,45,0,0,0,1,0 s9 "
+      "hc36fa54ea22ade39",
+  };
+  std::size_t i = 0;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const auto c = circuits::randomCliffordT(6, 60, 0.2, seed);
+    EXPECT_EQ(reductionDigest(circuitToZX(c)), expected[i++])
+        << "cliffordT(6,60) seed " << seed;
+  }
+  for (std::uint64_t seed = 0; seed < 2; ++seed) {
+    const auto c = circuits::randomCliffordT(5, 40, 0.25, seed);
+    EXPECT_EQ(reductionDigest(checkDiagram(c, c)), expected[i++])
+        << "cliffordT(5,40) equivalent seed " << seed;
+    EXPECT_EQ(reductionDigest(checkDiagram(c, flippedCnot(c, seed))),
+              expected[i++])
+        << "cliffordT(5,40) flipped seed " << seed;
+  }
+}
+
+TEST(ZXIncrementalTest, CompiledReductionsMatchRecordedBaselines) {
+  const char* const expected[] = {
+      "f2333,680,152,1105,984,2,221 m703,680,152,1105,984,2,221 "
+      "r1662,680,152,1105,984,2,221 s0 hc0cb8fb2422cefe0",
+      "f1913,253,66,873,961,0,209 m704,253,66,873,961,0,209 "
+      "r1662,253,66,873,961,0,209 s1422 h9fdc32233d39baf6",
+      "f2497,789,218,1166,1029,4,121 m714,789,218,1166,1029,4,121 "
+      "r1716,789,218,1166,1029,4,121 s0 h31b66330f05b0366",
+      "f1989,275,148,926,1024,0,139 m715,275,148,926,1024,0,139 "
+      "r1716,275,148,926,1024,0,139 s1536 hb4f81eb6d73213de",
+  };
+  std::size_t i = 0;
+  for (const auto& g : {circuits::grover(5, 19), circuits::quantumWalk(4, 3)}) {
+    const auto gPrime = compiled(g);
+    EXPECT_EQ(reductionDigest(checkDiagram(g, gPrime)), expected[i++])
+        << g.name() << " equivalent";
+    EXPECT_EQ(reductionDigest(checkDiagram(g, flippedCnot(gPrime, 1001))),
+              expected[i++])
+        << g.name() << " flipped";
+  }
+}
+
+TEST(ZXIncrementalTest, CompiledGroverExaminesFarFewerCandidates) {
+  // Every pass seeding every live vertex examined 902,882 candidates here;
+  // seeding from the changes since each rule's last fixpoint drops that
+  // below 200,000 for the same 5,477 rewrites.
+  const auto g = circuits::grover(5, 19);
+  auto d = checkDiagram(g, compiled(g));
+  Simplifier s(d);
+  ASSERT_TRUE(s.fullReduce());
+  std::size_t candidates = 0;
+  for (const auto& r : s.stats().rules) {
+    candidates += r.candidates;
+  }
+  EXPECT_EQ(s.stats().total(), 5477U);
+  EXPECT_LT(candidates, 200000U);
+}
+
+// Hand-built graph-like diagrams for the read-radius tests: Z spiders with
+// phases in units of pi/4, Hadamard wires between spiders, plain wires to
+// boundaries.
+Vertex spider(ZXDiagram& d, const std::int64_t quarterPis) {
+  return d.addVertex(VertexType::Z, PiRational(quarterPis, 4));
+}
+
+void hadamard(ZXDiagram& d, const Vertex a, const Vertex b) {
+  d.addEdge(a, b, EdgeType::Hadamard);
+}
+
+void boundary(ZXDiagram& d, const Vertex v) {
+  d.addEdge(d.addVertex(VertexType::Boundary), v, EdgeType::Simple);
+}
+
+using Pass = std::size_t (Simplifier::*)();
+
+/// `s` drained `pass` before one change enabled the rule at its read radius.
+/// The next pass, seeded from that change, must rewrite exactly what a fresh
+/// simplifier's pass (seeding every vertex) rewrites on a copy.
+void expectIncrementalPassMatchesFresh(ZXDiagram& d, Simplifier& s,
+                                       const Pass pass) {
+  auto copy = d;
+  Simplifier fresh(copy);
+  const std::size_t expected = (fresh.*pass)();
+  ASSERT_GT(expected, 0U) << "the change must enable the rule";
+  EXPECT_EQ((s.*pass)(), expected);
+  EXPECT_EQ(d.toString(), copy.toString());
+}
+
+TEST(ZXIncrementalTest, PivotGadgetReseedsTwoHopsFromADegreeChange) {
+  // u -- v would pivot (v gadgetized) but for v's leaf w. Once w gains an
+  // edge it is no leaf: the only changes are at w and its new neighbor,
+  // two and three hops from the candidate u.
+  ZXDiagram d;
+  const Vertex u = spider(d, 0);
+  const Vertex v = spider(d, 1);
+  const Vertex w = spider(d, 1);
+  const Vertex a = spider(d, 1);
+  const Vertex b = spider(d, 1);
+  hadamard(d, u, v);
+  hadamard(d, u, a);
+  hadamard(d, v, w);
+  hadamard(d, v, b);
+  boundary(d, a);
+  boundary(d, b);
+  Simplifier s(d);
+  ASSERT_EQ(s.pivotGadgetSimp(), 0U);
+  const Vertex y =
+      SimplifierTestAccess::addVertex(s, VertexType::Z, PiRational(1, 4));
+  SimplifierTestAccess::addEdge(s, w, y, EdgeType::Hadamard);
+  expectIncrementalPassMatchesFresh(d, s, &Simplifier::pivotGadgetSimp);
+}
+
+TEST(ZXIncrementalTest, PivotBoundaryReseedsOneHopFromAPhaseChange) {
+  // u -- v would be a boundary pivot but for v's phase pi/2. Complementing
+  // v's leaf x takes v to phase 0; the change is at v, the match at u.
+  ZXDiagram d;
+  const Vertex u = spider(d, 0);
+  const Vertex v = spider(d, 2);
+  const Vertex x = spider(d, 2);
+  const Vertex a = spider(d, 1);
+  hadamard(d, u, v);
+  hadamard(d, u, a);
+  hadamard(d, v, x);
+  boundary(d, v);
+  boundary(d, a);
+  Simplifier s(d);
+  ASSERT_EQ(s.pivotBoundarySimp(), 0U);
+  ASSERT_EQ(s.lcompSimp(), 1U);
+  expectIncrementalPassMatchesFresh(d, s, &Simplifier::pivotBoundarySimp);
+}
+
+/// Two phase gadgets (a phase-0 hub with a pi/4 leaf) on the same targets
+/// x (phase 0, on a boundary) and t. gadgetSimp fuses the second into the
+/// first: x loses the second hub, and the first leaf gains pi/4.
+struct TwinGadgets {
+  ZXDiagram d;
+  Vertex x = 0;
+  Vertex keptLeaf = 0;
+};
+
+TwinGadgets twinGadgets() {
+  TwinGadgets g;
+  g.x = spider(g.d, 0);
+  const Vertex t = spider(g.d, 1);
+  boundary(g.d, g.x);
+  boundary(g.d, t);
+  for (int i = 0; i < 2; ++i) {
+    const Vertex hub = spider(g.d, 0);
+    const Vertex leaf = spider(g.d, 1);
+    hadamard(g.d, hub, leaf);
+    hadamard(g.d, hub, g.x);
+    hadamard(g.d, hub, t);
+    if (i == 0) {
+      g.keptLeaf = leaf;
+    }
+  }
+  return g;
+}
+
+TEST(ZXIncrementalTest, IdReseedsTheNeighborsOfARemovedVertex) {
+  // The removed hub is the only change at x, which drops to degree 2.
+  auto g = twinGadgets();
+  Simplifier s(g.d);
+  ASSERT_EQ(s.idSimp(), 0U);
+  ASSERT_EQ(s.gadgetSimp(), 1U);
+  ASSERT_EQ(g.d.degree(g.x), 2U);
+  expectIncrementalPassMatchesFresh(g.d, s, &Simplifier::idSimp);
+}
+
+TEST(ZXIncrementalTest, LcompReseedsAVertexWhosePhaseChanged) {
+  // The kept leaf's only change is its phase, now pi/2.
+  auto g = twinGadgets();
+  Simplifier s(g.d);
+  ASSERT_EQ(s.lcompSimp(), 0U);
+  ASSERT_EQ(s.gadgetSimp(), 1U);
+  ASSERT_EQ(g.d.phase(g.keptLeaf), PiRational(1, 2));
+  expectIncrementalPassMatchesFresh(g.d, s, &Simplifier::lcompSimp);
 }
 
 } // namespace
