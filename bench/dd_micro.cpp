@@ -2,8 +2,6 @@
 /// \brief Google-benchmark microbenchmarks of the decision-diagram package.
 #include "check/dd_checkers.hpp"
 #include "circuits/benchmarks.hpp"
-#include "compile/architecture.hpp"
-#include "compile/mapper.hpp"
 #include "dd/package.hpp"
 #include "sim/dd_simulator.hpp"
 
@@ -155,9 +153,6 @@ void BM_BuildUnitaryGroverRepeated(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildUnitaryGroverRepeated)->Arg(4)->Arg(6);
 
-/// Random-stimuli equivalence check: sequential (1 worker) vs. a small
-/// thread pool. Each worker owns its own package; identical verdicts by
-/// construction (per-stimulus-index seeding).
 /// End-to-end alternating equivalence check of grover(6, 10) against itself
 /// with the proportional oracle — the DD-kernel-bound workload the release
 /// perf-regression gate tracks (unique-table probes, compute-table traffic
@@ -173,65 +168,12 @@ void BM_AlternatingGroverCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_AlternatingGroverCheck)->Unit(benchmark::kMillisecond);
 
-/// Thread scaling of the sharded alternating checker on grover(6, 10):
-/// checkThreads > 1 splits both gate sequences into per-slot chunks whose
-/// partial products are built in private DD packages and then
-/// interleave-combined. The 8-vs-1 real-time ratio is the headline number
-/// BENCH_parallel.json records (flat on single-core substrates — the JSON is
-/// stamped with the host's hardware concurrency so ratios are interpreted
-/// against what the machine can actually deliver). Verdicts are identical
-/// at every slot count by construction.
-void BM_ShardedAlternatingGroverCheck(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto circuit = circuits::grover(6, 10);
-  check::Configuration config;
-  config.oracle = check::OracleStrategy::Proportional;
-  config.checkThreads = threads;
-  for (auto _ : state) {
-    const auto result = check::ddAlternatingCheck(circuit, circuit, config);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["hardware_concurrency"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardedAlternatingGroverCheck)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-/// Thread scaling of the sharded compilation-flow check on a 64-qubit GHZ
-/// preparation compiled to the heavy-hex architecture — the wide-circuit
-/// counterpart of the Grover workload above (few gates per qubit, large
-/// permutation state per shard snapshot).
-void BM_ShardedCompiledFlowCheck(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto original = circuits::ghz(64);
-  compile::ExpansionCounts counts;
-  const auto compiled = compile::compileForArchitecture(
-      original, compile::Architecture::ibmManhattanLike(), {}, &counts);
-  check::Configuration config;
-  config.checkThreads = threads;
-  for (auto _ : state) {
-    const auto result =
-        check::ddCompilationFlowCheck(original, compiled, counts, config);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["hardware_concurrency"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ShardedCompiledFlowCheck)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
+/// Thread scaling of the random-stimuli check: sequential (1 worker) vs. a
+/// small worker pool. Each worker owns its own package; verdicts are
+/// identical by construction (per-stimulus-index seeding). The
+/// hardware_concurrency counter lets bench_compare.py skip a baseline
+/// recorded on a different core count instead of comparing scaling curves
+/// that cannot match.
 void BM_SimulationCheckThreads(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   const auto circuit = circuits::grover(5, 3);
@@ -246,6 +188,8 @@ void BM_SimulationCheckThreads(benchmark::State& state) {
     performed = result.performedSimulations;
   }
   state.counters["performed"] = static_cast<double>(performed);
+  state.counters["hardware_concurrency"] =
+      static_cast<double>(std::thread::hardware_concurrency());
 }
 BENCHMARK(BM_SimulationCheckThreads)
     ->Arg(1)

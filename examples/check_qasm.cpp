@@ -6,7 +6,7 @@
 ///                   [--timeout <seconds>] [--sims <n>]
 ///                   [--json <path>] [--trace]
 ///                   [--retries <n>] [--watchdog-ms <n>]
-///                   [--fault-plan <plan>] [--zx-regions <n>] [--threads <n>]
+///                   [--fault-plan <plan>]
 ///        check_qasm --validate-report <path>
 ///
 /// Exit code: 0 = equivalent, 1 = not equivalent, 2 = undecided, 3 = error.
@@ -29,7 +29,7 @@ void usage(const char* prog) {
                "usage: %s <a.qasm> <b.qasm> [--method dd|zx|both] "
                "[--timeout <seconds>] [--sims <n>] [--json <path>] "
                "[--trace] [--retries <n>] [--watchdog-ms <n>] "
-               "[--fault-plan <plan>] [--zx-regions <n>] [--threads <n>]\n"
+               "[--fault-plan <plan>]\n"
                "       %s --validate-report <path>\n",
                prog, prog);
 }
@@ -96,10 +96,6 @@ int main(int argc, char** argv) {
       config.watchdogMillis = static_cast<std::size_t>(std::atol(argv[++i]));
     } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
       config.faultPlan = argv[++i];
-    } else if (std::strcmp(argv[i], "--zx-regions") == 0 && i + 1 < argc) {
-      config.zxParallelRegions = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      config.checkThreads = static_cast<std::size_t>(std::atol(argv[++i]));
     } else {
       usage(argv[0]);
       return 3;

@@ -89,16 +89,15 @@ run_bench "./$BUILD_DIR/bench/zx_micro" "$OUT_ZX" \
   --benchmark_repetitions=3 \
   --benchmark_filter='BM_GroverReduction|BM_CompiledReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
 
-# Thread-scaling record: the sharded alternating / compilation-flow checkers
-# and the simulation worker pool at 1..8 slots. The per-entry
-# hardware_concurrency counter says how many cores the host actually had, so
-# a flat scaling curve on a single-core runner is read as expected, not as a
-# regression of the sharding itself.
+# Thread-scaling record: the simulation worker pool at 1, 2 and 4 slots.
+# The per-entry hardware_concurrency counter says how many cores the host
+# had; bench_compare.py skips entries whose baseline was recorded on a
+# different core count, since their scaling curves cannot match.
 run_bench "./$BUILD_DIR/bench/dd_micro" "$OUT_PARALLEL" \
   --benchmark_format=json \
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=3 \
-  --benchmark_filter='BM_ShardedAlternatingGroverCheck|BM_ShardedCompiledFlowCheck|BM_SimulationCheckThreads'
+  --benchmark_filter='BM_SimulationCheckThreads'
 
 # --- end-to-end run report ---------------------------------------------------
 # Check a GHZ preparation against an equivalent variant padded with

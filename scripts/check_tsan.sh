@@ -2,16 +2,12 @@
 # Run the thread-stress suites under ThreadSanitizer (the tsan CMake preset).
 # tests/test_threading.cpp is the main workload: the parallel manager's
 # racing engines, the multi-threaded simulation worker pool (including
-# oversubscription and mid-flight cancellation), the sharded alternating
-# checker, the region-parallel ZX pre-pass and several concurrent managers
-# at once. tests/test_task_pool.cpp drives the work-stealing pool's
+# oversubscription and mid-flight cancellation) and several concurrent
+# managers at once. tests/test_task_pool.cpp drives the work-stealing pool's
 # queue/steal/sleep handshakes, cancellation and exception containment
-# directly. The region-parallel simplifier parity tests of
-# tests/test_zx_simplify.cpp run threaded region workers on one shared
-# diagram — the ownership-guard discipline TSan is best placed to audit.
-# tests/test_fault_injection.cpp adds the degradation-ladder retry rounds,
-# the soft watchdog's heartbeat/trip handshake and fault-poisoned task
-# groups, all of which cross thread boundaries. tests/test_serve.cpp runs
+# directly. tests/test_fault_injection.cpp adds the degradation-ladder retry
+# rounds, the soft watchdog's heartbeat/trip handshake and fault-poisoned
+# task groups, all of which cross thread boundaries. tests/test_serve.cpp runs
 # the veriqcd JobService: concurrent submitting clients, the shared warm
 # gate-cache's epoch publish/lease handshake, shutdown cancelling in-flight
 # jobs, and racing shutdown() callers (the double-join regression). The
@@ -27,10 +23,10 @@ cd "$(dirname "$0")/.."
 
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j"$(nproc)" \
-  --target test_threading test_task_pool test_zx_simplify \
-  test_fault_injection test_serve >/dev/null
+  --target test_threading test_task_pool test_fault_injection test_serve \
+  >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|ZXRegionParallelTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest}"

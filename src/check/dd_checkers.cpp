@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 namespace veriqc::check {
 
@@ -245,263 +244,6 @@ Result resourceExhausted(Result result, const dd::Package& package,
   return result;
 }
 
-// --- sharded alternating scheme ---------------------------------------------
-
-/// One precomputed gate of a sharded side: a circuit operation under the
-/// permutation snapshot it will see, or (op == nullptr) a bare transposition
-/// from the final permutation-equalization step.
-struct ShardGate {
-  const Operation* op = nullptr;
-  Permutation perm;
-  bool invert = false;
-  Qubit x = 0;
-  Qubit y = 0;
-
-  [[nodiscard]] dd::mEdge buildDD(dd::Package& package) const {
-    if (op == nullptr) {
-      return package.makeSwapDD(x, y);
-    }
-    if (invert) {
-      return package.makeOperationDD(op->inverse(), perm);
-    }
-    return package.makeOperationDD(*op, perm);
-  }
-};
-
-struct FlattenedSide {
-  std::vector<ShardGate> gates;
-  Permutation finalPerm;
-};
-
-/// Flatten one side of the alternating scheme for sharding. The tracked
-/// permutation evolves only by SWAP absorption — a DD-independent walk — so
-/// every gate's permutation snapshot (and the side's final permutation) can
-/// be computed up front, before any DD work is distributed.
-FlattenedSide flattenSide(const QuantumCircuit& circuit, const bool invert) {
-  FlattenedSide side{.gates = {}, .finalPerm = circuit.initialLayout()};
-  for (const auto& op : circuit.ops()) {
-    if (op.isNonUnitary()) {
-      continue;
-    }
-    if (op.isBareSwap()) {
-      side.finalPerm.swapImages(op.targets[0], op.targets[1]);
-      continue;
-    }
-    ShardGate gate;
-    gate.op = &op;
-    gate.perm = side.finalPerm;
-    gate.invert = invert;
-    side.gates.push_back(std::move(gate));
-  }
-  return side;
-}
-
-/// A chunk partial product built in a worker-private package. The package is
-/// kept alive until the combining thread has imported the edge.
-struct ChunkProduct {
-  std::unique_ptr<dd::Package> package;
-  dd::mEdge edge{};
-  bool built = false;
-};
-
-/// The sharded alternating check (checkThreads > 1). Left and right gate
-/// sequences are split into `slots` contiguous chunks; each chunk's partial
-/// product is built in a worker-private DD package (one package per task —
-/// packages are single-threaded by contract), then the main thread imports
-/// the products and interleave-combines them:
-///
-///   E  =  Lc_C ... Lc_1 · I · Rc_1 ... Rc_C,   combined as E <- Lc_i E Rc_i
-///
-/// Left and right multiplications commute as operators, so this equals the
-/// sequential scheme's product exactly, while the chunk-interleaved combine
-/// order preserves the near-identity cancellation the scheme relies on at
-/// chunk granularity. The permutation-equalizing transpositions are
-/// DD-independent and precomputed, so they shard along with the right side.
-Result shardedAlternatingCheck(const QuantumCircuit& a,
-                               const QuantumCircuit& b,
-                               const Configuration& config,
-                               const StopToken& stop, Result result,
-                               const Clock::time_point start,
-                               const Clock::time_point deadline,
-                               const std::size_t slots) {
-  auto right = flattenSide(a, /*invert=*/true);
-  auto left = flattenSide(b, /*invert=*/false);
-  // tau = L o O^-1 o O' o L'^-1, as in the sequential scheme; its
-  // transpositions belong at the very end of the right-hand sequence.
-  const auto tau = right.finalPerm.compose(a.outputPermutation().inverse())
-                       .compose(b.outputPermutation())
-                       .compose(left.finalPerm.inverse());
-  for (const auto& [x, y] : tau.transpositions()) {
-    ShardGate swap;
-    swap.x = x;
-    swap.y = y;
-    right.gates.push_back(std::move(swap));
-  }
-
-  dd::Package package(a.numQubits(), config.numericalTolerance,
-                      packageConfigFor(config));
-  adoptWarmSource(package, config);
-  Accumulator acc(package, config.recordTrace);
-  audit::DDCheckpoint checkpoint(config.auditLevel,
-                                 "dd-alternating combine checkpoint");
-  const auto auditGate = [&]() {
-    if (checkpoint.enabled()) {
-      const std::array roots{acc.edge()};
-      checkpoint.postGate(package, roots);
-    }
-  };
-  const auto stoppedResult = [&]() -> Result {
-    result.criterion = stopAttribution(deadline);
-    recordCacheStats(package, result);
-    result.runtimeSeconds = secondsSince(start);
-    result.peakNodes = std::max(result.peakNodes, acc.peak());
-    result.sizeTrace = acc.takeTrace();
-    return result;
-  };
-
-  const std::size_t chunkCount = slots;
-  std::vector<ChunkProduct> leftChunks(chunkCount);
-  std::vector<ChunkProduct> rightChunks(chunkCount);
-  std::atomic<bool> sawStop{false};
-  support::Mutex resultMutex; // guards `result`'s stats fields during merge
-
-  TaskPool pool(slots);
-  {
-    TaskGroup group(pool, stop);
-    const auto submitChunk = [&](const std::vector<ShardGate>& gates,
-                                 std::vector<ChunkProduct>& chunks,
-                                 const std::size_t index,
-                                 const bool leftSide) {
-      const std::size_t total = gates.size();
-      const std::size_t beginIdx = index * total / chunkCount;
-      const std::size_t endIdx = (index + 1) * total / chunkCount;
-      if (beginIdx == endIdx) {
-        return; // empty chunk: its partial product is the identity
-      }
-      group.submit(
-          (leftSide ? "shard:left:" : "shard:right:") + std::to_string(index),
-          [&, beginIdx, endIdx, index, leftSide](std::size_t /*slot*/) {
-            // One private package per task: dd::Package is single-threaded
-            // by contract, and a private instance also gives the audit
-            // checkpoint a purely thread-local structure to walk.
-            auto pkg = std::make_unique<dd::Package>(
-                a.numQubits(), config.numericalTolerance,
-                packageConfigFor(config));
-            adoptWarmSource(*pkg, config);
-            audit::DDCheckpoint shardCheckpoint(
-                config.auditLevel, "dd-alternating shard checkpoint");
-            auto e = pkg->makeIdent();
-            pkg->incRef(e);
-            bool aborted = false;
-            for (std::size_t g = beginIdx; g < endIdx; ++g) {
-              if ((g - beginIdx) % kStopPollStride == 0 && stop && stop()) {
-                aborted = true;
-                break;
-              }
-              const auto& gates_ = leftSide ? left.gates : right.gates;
-              const auto gateDD = gates_[g].buildDD(*pkg);
-              const auto next = leftSide ? pkg->multiply(gateDD, e)
-                                         : pkg->multiply(e, gateDD);
-              pkg->incRef(next);
-              pkg->decRef(e);
-              e = next;
-              pkg->garbageCollect();
-              if (shardCheckpoint.enabled()) {
-                const std::array roots{e};
-                shardCheckpoint.postGate(*pkg, roots);
-              }
-            }
-            if (!aborted && shardCheckpoint.enabled()) {
-              const std::array roots{e};
-              shardCheckpoint.boundary(*pkg, roots);
-            }
-            {
-              const support::LockGuard lock(resultMutex);
-              recordCacheStats(*pkg, result);
-              result.peakNodes = std::max(result.peakNodes,
-                                          pkg->stats().peakMatrixNodes);
-            }
-            if (aborted) {
-              sawStop.store(true, std::memory_order_relaxed);
-              return;
-            }
-            auto& chunk = chunks[index];
-            chunk.edge = e;
-            chunk.package = std::move(pkg);
-            chunk.built = true;
-          });
-    };
-    for (std::size_t i = 0; i < chunkCount; ++i) {
-      submitChunk(left.gates, leftChunks, i, /*leftSide=*/true);
-      submitChunk(right.gates, rightChunks, i, /*leftSide=*/false);
-    }
-    // Exceptions beyond the first lose the wait() rethrow race; surface the
-    // loss as a counter instead of dropping it silently.
-    const auto recordSuppressed = [&group, &result] {
-      if (const auto suppressed = group.suppressedExceptions();
-          suppressed > 0) {
-        result.counters.add("task_pool/suppressed_exceptions",
-                            static_cast<double>(suppressed));
-      }
-    };
-    try {
-      group.wait();
-    } catch (const ResourceLimitError& e) {
-      // A worker package outgrew its budget; the group is already cancelled
-      // and drained. Degrade exactly like the sequential scheme.
-      recordSuppressed();
-      return resourceExhausted(std::move(result), package, e, start);
-    }
-    recordSuppressed();
-    // Other worker exceptions propagate to the manager's firewall, as the
-    // sequential scheme's would.
-  }
-
-  try {
-    if (sawStop.load(std::memory_order_relaxed) || (stop && stop())) {
-      return stoppedResult();
-    }
-    // All chunks completed: import and interleave-combine on this thread.
-    for (std::size_t i = 0; i < chunkCount; ++i) {
-      if (stop && stop()) {
-        return stoppedResult();
-      }
-      if (leftChunks[i].built) {
-        acc.applyLeft(
-            package.importMatrix(*leftChunks[i].package, leftChunks[i].edge));
-        leftChunks[i].package.reset(); // bound worker-package memory
-        auditGate();
-      }
-      if (rightChunks[i].built) {
-        acc.applyRight(package.importMatrix(*rightChunks[i].package,
-                                            rightChunks[i].edge));
-        rightChunks[i].package.reset();
-        auditGate();
-      }
-    }
-    const double relativePhase = b.globalPhase() - a.globalPhase();
-    if (relativePhase != 0.0) {
-      const auto& e = acc.edge();
-      acc.replace(
-          {e.n, e.w * std::exp(std::complex<double>{0.0, relativePhase})});
-    }
-    if (checkpoint.enabled()) {
-      const std::array roots{acc.edge()};
-      checkpoint.boundary(package, roots);
-    }
-    result.criterion = classify(package, acc.edge(), config, result);
-  } catch (const ResourceLimitError& e) {
-    result.peakNodes = std::max(result.peakNodes, acc.peak());
-    result.sizeTrace = acc.takeTrace();
-    return resourceExhausted(std::move(result), package, e, start);
-  }
-  recordCacheStats(package, result);
-  result.peakNodes = std::max(result.peakNodes, acc.peak());
-  result.sizeTrace = acc.takeTrace();
-  result.runtimeSeconds = secondsSince(start);
-  return result;
-}
-
 } // namespace
 
 Result denseCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
@@ -624,14 +366,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   Result result;
   result.method = "dd-alternating(" + toString(config.oracle) + ")";
   const auto [a, b] = prepare(c1, c2, config);
-  if (const auto slots = TaskPool::resolveSlots(config.checkThreads);
-      slots > 1) {
-    // The sharded scheme computes the same product (left and right
-    // multiplications commute), so the oracle choice only matters for the
-    // sequential path's interleaving.
-    return shardedAlternatingCheck(a, b, config, stop, std::move(result),
-                                   start, deadline, slots);
-  }
   dd::Package package(a.numQubits(), config.numericalTolerance,
                       packageConfigFor(config));
   adoptWarmSource(package, config);
@@ -787,14 +521,6 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
   Configuration flowConfig = config;
   flowConfig.reconstructSwaps = false; // counts refer to the raw gate lists
   const auto [a, b] = alignCircuits(original, compiled);
-  if (const auto slots = TaskPool::resolveSlots(flowConfig.checkThreads);
-      slots > 1) {
-    // Expansion counts only drive the sequential path's interleaving (and
-    // were validated above); the final product is interleaving-independent,
-    // so the sharded scheme applies unchanged.
-    return shardedAlternatingCheck(a, b, flowConfig, stop, std::move(result),
-                                   start, deadline, slots);
-  }
   dd::Package package(a.numQubits(), flowConfig.numericalTolerance,
                       packageConfigFor(flowConfig));
   adoptWarmSource(package, flowConfig);

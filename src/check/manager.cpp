@@ -82,8 +82,9 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 
 /// Walk one rung down the degradation ladder for a failed slot, mutating its
 /// configuration (and possibly its kind) in place. Rungs, first-applicable:
-///  - "single-thread": drop every intra-check parallelism knob to 1 — the
-///    retry avoids worker-pool and region machinery entirely.
+///  - "single-thread" (simulation): run the stimuli on one worker — the
+///    retry avoids the worker pool entirely. Only a simulation slot uses
+///    simulationThreads, so any other slot skips this rung.
 ///  - "gc-tight" (DD engines): collect eagerly from a small threshold and
 ///    halve a finite node budget — trades throughput for a tight memory
 ///    band, the right response to bad_alloc/budget failures.
@@ -92,11 +93,8 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 ///  - "retry": nothing left to degrade; try again as-is (the failure may
 ///    have been transient, e.g. a bounded injected fault).
 std::string degradeStep(EngineKind& kind, Configuration& config) {
-  if (config.checkThreads != 1 || config.simulationThreads != 1 ||
-      config.zxParallelRegions != 1) {
-    config.checkThreads = 1;
+  if (kind == EngineKind::Simulation && config.simulationThreads != 1) {
     config.simulationThreads = 1;
-    config.zxParallelRegions = 1;
     return "single-thread";
   }
   const bool ddEngine =

@@ -47,8 +47,6 @@ obs::Json serializeConfiguration(const Configuration& config) {
   j["simulationRuns"] = config.simulationRuns;
   j["stimuliKind"] = sim::toString(config.stimuliKind);
   j["simulationThreads"] = config.simulationThreads;
-  j["checkThreads"] = config.checkThreads;
-  j["zxParallelRegions"] = config.zxParallelRegions;
   j["seed"] = static_cast<std::int64_t>(config.seed);
   j["timeoutMilliseconds"] =
       static_cast<std::int64_t>(config.timeout.count());

@@ -79,19 +79,6 @@ struct Configuration {
   /// per run index, so the verdict — and the counterexample, if any — is
   /// identical for every thread count.
   std::size_t simulationThreads = 1;
-  /// Worker slots for sharding a *single* alternating / compilation-flow
-  /// check (0 = hardware concurrency, 1 = the classic sequential scheme).
-  /// With N > 1 slots both gate sequences are split into N chunks whose
-  /// partial products are built in worker-private DD packages and then
-  /// interleave-combined — the final diagram (and verdict) is identical to
-  /// the sequential scheme for every slot count.
-  std::size_t checkThreads = 1;
-  /// Region count for the parallel pre-pass of the ZX engine's fullReduce
-  /// (0 = hardware concurrency, 1 = fully sequential). Regions partition the
-  /// vertex-id space; each drains its own worklist under a closed-2-hop
-  /// ownership guard, then the sequential fixpoint pass finishes the job, so
-  /// the reduced diagram is independent of the region count.
-  std::size_t zxParallelRegions = 1;
   std::uint64_t seed = 42;
   /// Wall-clock budget; zero means unlimited.
   std::chrono::milliseconds timeout{0};

@@ -9,9 +9,8 @@ namespace veriqc::check {
 
 // --- TaskGroup ---------------------------------------------------------------
 
-TaskGroup::TaskGroup(TaskPool& pool, std::function<bool()> stop,
-                     obs::PhaseTimer* phases)
-    : pool_(pool), stop_(std::move(stop)), phases_(phases) {}
+TaskGroup::TaskGroup(TaskPool& pool, obs::PhaseTimer* phases)
+    : pool_(pool), phases_(phases) {}
 
 TaskGroup::~TaskGroup() {
   // A group must never outlive its tasks: drain without rethrowing (wait()
@@ -157,11 +156,6 @@ void TaskPool::runTask(Task& task, const std::size_t slot) {
   {
     const support::LockGuard lock(group.mutex_);
     skip = group.cancelled_;
-  }
-  // The stop token is polled outside the group mutex: tokens are arbitrary
-  // callables (deadline checks, atomic loads) and must not run under a lock.
-  if (!skip && group.stop_ && group.stop_()) {
-    skip = true;
   }
   if (!skip) {
     try {

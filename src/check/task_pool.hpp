@@ -1,9 +1,8 @@
 /// \file task_pool.hpp
-/// \brief Shared work-stealing task pool for intra-check parallelism.
+/// \brief Shared work-stealing task pool for the checker layer.
 ///
 /// One pool serves every parallel path of the checker layer: the manager's
-/// concurrent engines, the random-stimuli worker pool, the sharded
-/// alternating scheme and the region-parallel ZX reduction. Each execution
+/// concurrent engines and the random-stimuli worker pool. Each execution
 /// slot (the calling thread plus `slots - 1` spawned workers) owns a deque;
 /// submission round-robins across the deques, an idle slot steals from the
 /// back of a victim's deque, and the submitting thread itself executes tasks
@@ -11,10 +10,10 @@
 /// with N-1 threads.
 ///
 /// Contracts the checker layer relies on:
-///  - Stop-token propagation: a TaskGroup carries an optional StopToken;
-///    once it trips (or the group is cancelled) queued-but-unstarted tasks
-///    of that group are skipped, not run. Running tasks are expected to
-///    poll the token themselves, as every engine already does.
+///  - Cancellation: once a group is cancelled (explicitly, or poisoned by a
+///    task exception) its queued-but-unstarted tasks are skipped, not run.
+///    Running tasks are expected to poll their own stop tokens, as every
+///    engine already does.
 ///  - Exception containment: the first exception a task throws is captured
 ///    and rethrown from TaskGroup::wait() on the submitting thread; later
 ///    exceptions of the same group are dropped (the group is cancelled by
@@ -44,12 +43,9 @@ class TaskPool;
 /// until every task of the group has either run or been skipped.
 class TaskGroup {
 public:
-  /// \param stop optional cooperative token: once it returns true, tasks of
-  ///        this group that have not started yet are skipped.
   /// \param phases optional span sink: each executed task records a span
   ///        named by its submit() label.
-  explicit TaskGroup(TaskPool& pool, std::function<bool()> stop = {},
-                     obs::PhaseTimer* phases = nullptr);
+  explicit TaskGroup(TaskPool& pool, obs::PhaseTimer* phases = nullptr);
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
   /// Destruction waits for stragglers (without rethrowing), so a group can
@@ -70,8 +66,8 @@ public:
   /// rethrow the first captured task exception, if any.
   void wait();
 
-  /// Tasks that were skipped (group cancelled or stop token tripped before
-  /// they started). Meaningful after wait().
+  /// Tasks that were skipped (group cancelled before they started).
+  /// Meaningful after wait().
   [[nodiscard]] std::size_t skippedTasks() const noexcept;
 
   /// Task exceptions beyond the first: they lose the wait() rethrow race and
@@ -84,9 +80,8 @@ private:
   friend class TaskPool;
 
   TaskPool& pool_;
-  // Set once in the constructor and only read afterwards (pool threads call
-  // stop_/phases_ concurrently) — immutable state needs no capability.
-  std::function<bool()> stop_;
+  // Set once in the constructor and only read afterwards (pool threads read
+  // it concurrently) — immutable state needs no capability.
   obs::PhaseTimer* phases_;
 
   mutable support::Mutex mutex_;

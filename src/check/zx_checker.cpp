@@ -1,17 +1,12 @@
 #include "check/zx_checker.hpp"
 
 #include "audit/checkpoint.hpp"
-#include "check/task_pool.hpp"
 #include "compile/decompose.hpp"
 #include "zx/circuit_to_zx.hpp"
 #include "zx/simplify.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cstddef>
-#include <functional>
 #include <string>
-#include <vector>
 
 namespace veriqc::check {
 
@@ -45,24 +40,6 @@ Result zxCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   zx::SimplifierOptions options;
   options.gadgetRules = config.zxGadgetRules;
   options.maxVertices = config.maxZXVertices;
-  // Region-parallel pre-pass: veriqc_zx stays free of a task-pool
-  // dependency, so the executor is injected here. Each invocation builds a
-  // pool sized to the task count (fullReduce calls it at most once).
-  const auto regions = TaskPool::resolveSlots(config.zxParallelRegions);
-  options.parallelRegions = regions;
-  if (regions > 1) {
-    options.regionExecutor =
-        [regions](const std::vector<std::function<void()>>& tasks) {
-          TaskPool pool(std::min(regions, tasks.size()));
-          TaskGroup group(pool);
-          for (std::size_t i = 0; i < tasks.size(); ++i) {
-            const auto& task = tasks[i];
-            group.submit("zx:region" + std::to_string(i),
-                         [&task](std::size_t) { task(); });
-          }
-          group.wait(); // rethrows the first task exception
-        };
-  }
   zx::Simplifier simplifier(diagram, shouldStop, options);
 
   // Engine observability: structured per-rule scheduler stats plus the named

@@ -222,11 +222,10 @@ public:
 
   /// Deep-copy a matrix diagram owned by another package into this one,
   /// re-canonicalizing every node through this package's unique tables
-  /// (shared subdiagrams stay shared via a source-handle memo). This is the
-  /// hand-over point of the sharded checkers: worker threads build partial
-  /// products in private packages, then the combining thread imports them.
-  /// `src` is only read; the caller must guarantee no operation runs on it
-  /// concurrently.
+  /// (shared subdiagrams stay shared via a source-handle memo). Warm
+  /// gate-cache adoption and exportGateCacheInto use it to move gate DDs
+  /// between packages. `src` is only read; the caller must guarantee no
+  /// mutating operation runs on it concurrently.
   mEdge importMatrix(const Package& src, const mEdge& e);
 
   /// Adopt a warm gate-DD source: on a gate-cache miss, look the key up in

@@ -68,17 +68,14 @@ inline constexpr const char* kDDComputeAlloc = "dd.compute_alloc";
 inline constexpr const char* kDDGc = "dd.gc";
 inline constexpr const char* kDDImport = "dd.import";
 inline constexpr const char* kZXDrain = "zx.drain";
-inline constexpr const char* kZXRegionPrepass = "zx.region_prepass";
 inline constexpr const char* kPoolTaskStart = "pool.task_start";
 inline constexpr const char* kCheckReport = "check.report";
 } // namespace points
 
-inline constexpr std::array<const char*, 10> kKnownPoints = {
-    points::kDDSlabGrow,   points::kDDUniqueRebuild,
-    points::kDDRealGrow,   points::kDDComputeAlloc,
-    points::kDDGc,         points::kDDImport,
-    points::kZXDrain,      points::kZXRegionPrepass,
-    points::kPoolTaskStart, points::kCheckReport,
+inline constexpr std::array<const char*, 9> kKnownPoints = {
+    points::kDDSlabGrow,    points::kDDUniqueRebuild, points::kDDRealGrow,
+    points::kDDComputeAlloc, points::kDDGc,           points::kDDImport,
+    points::kZXDrain,       points::kPoolTaskStart,   points::kCheckReport,
 };
 
 class Registry;

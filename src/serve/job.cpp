@@ -49,10 +49,6 @@ void applyConfigKey(check::Configuration& config, const std::string& key,
     config.simulationRuns = asSize(value, key);
   } else if (key == "simulationThreads") {
     config.simulationThreads = asSize(value, key);
-  } else if (key == "checkThreads") {
-    config.checkThreads = asSize(value, key);
-  } else if (key == "zxParallelRegions") {
-    config.zxParallelRegions = asSize(value, key);
   } else if (key == "seed") {
     config.seed = static_cast<std::uint64_t>(asSize(value, key));
   } else if (key == "runAlternating") {

@@ -20,7 +20,9 @@
 /// Shared state across jobs:
 ///  - one TaskPool: every manager's parallel rounds run on it
 ///    (Manager::useTaskPool), so the daemon's thread count is fixed instead
-///    of per-job pools churning threads;
+///    of per-job pools churning threads. The one remaining exception is a
+///    job with simulationThreads > 1: its simulation check builds a private
+///    worker pool for its stimuli, spawning threads outside the shared one;
 ///  - one SharedGateCache: immutable per-shape gate-DD snapshots, published
 ///    copy-on-write and leased via shared_ptr (the epoch scheme) — a job's
 ///    package teardown can never invalidate a concurrent job's lease;

@@ -5,7 +5,6 @@
 #include "ir/types.hpp"
 #include "zx/rational.hpp"
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -57,45 +56,6 @@ using NeighborList = std::vector<NeighborEntry>;
 class ZXDiagram {
 public:
   ZXDiagram() = default;
-  // The live-vertex counter is atomic (region-parallel simplification
-  // removes vertices from several threads), which deletes the implicit
-  // copy/move operations; diagrams are still plain values everywhere else
-  // (adjoint/compose copy them), so restore them explicitly.
-  ZXDiagram(const ZXDiagram& other)
-      : types_(other.types_), phases_(other.phases_),
-        present_(other.present_), adj_(other.adj_), inputs_(other.inputs_),
-        outputs_(other.outputs_),
-        liveCount_(other.liveCount_.load(std::memory_order_relaxed)) {}
-  ZXDiagram(ZXDiagram&& other) noexcept
-      : types_(std::move(other.types_)), phases_(std::move(other.phases_)),
-        present_(std::move(other.present_)), adj_(std::move(other.adj_)),
-        inputs_(std::move(other.inputs_)),
-        outputs_(std::move(other.outputs_)),
-        liveCount_(other.liveCount_.load(std::memory_order_relaxed)) {}
-  ZXDiagram& operator=(const ZXDiagram& other) {
-    if (this != &other) {
-      types_ = other.types_;
-      phases_ = other.phases_;
-      present_ = other.present_;
-      adj_ = other.adj_;
-      inputs_ = other.inputs_;
-      outputs_ = other.outputs_;
-      liveCount_.store(other.liveCount_.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    }
-    return *this;
-  }
-  ZXDiagram& operator=(ZXDiagram&& other) noexcept {
-    types_ = std::move(other.types_);
-    phases_ = std::move(other.phases_);
-    present_ = std::move(other.present_);
-    adj_ = std::move(other.adj_);
-    inputs_ = std::move(other.inputs_);
-    outputs_ = std::move(other.outputs_);
-    liveCount_.store(other.liveCount_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    return *this;
-  }
 
   // --- construction -----------------------------------------------------------
   Vertex addVertex(VertexType type, PiRational phase = {});
@@ -155,9 +115,7 @@ public:
   }
 
   /// Number of live vertices.
-  [[nodiscard]] std::size_t vertexCount() const noexcept {
-    return liveCount_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t vertexCount() const noexcept { return liveCount_; }
   /// Number of live non-boundary vertices.
   [[nodiscard]] std::size_t spiderCount() const;
   /// Total number of edges (by multiplicity).
@@ -185,18 +143,12 @@ private:
 
   std::vector<VertexType> types_;
   std::vector<PiRational> phases_;
-  /// One byte per vertex, NOT std::vector<bool>: the bit-packed
-  /// specialization makes writes to distinct vertices race on shared words,
-  /// which would break the region-parallel simplifier's disjoint-write
-  /// guarantee.
+  /// One byte per vertex (nonzero = live).
   std::vector<std::uint8_t> present_;
   std::vector<NeighborList> adj_;
   std::vector<Vertex> inputs_;
   std::vector<Vertex> outputs_;
-  /// Atomic: region-parallel rewrites remove vertices concurrently; all
-  /// other mutation stays region-disjoint by the simplifier's ownership
-  /// guard.
-  std::atomic<std::size_t> liveCount_{0};
+  std::size_t liveCount_ = 0;
 };
 
 } // namespace veriqc::zx

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <iomanip>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -21,7 +20,7 @@ constexpr int kFullSeed = -1;
 /// Read radius of each rule's match predicate, indexed by SimplifyRule: the
 /// graph distance from a candidate at which the predicate reads mutable
 /// state (phase, adjacency row or degree, presence). Vertex types are fixed
-/// once toZForm has run, so they do not count.
+/// once toGraphLike has run, so they do not count.
 constexpr std::array<int, kSimplifyRuleCount> kReadRadius = {
     0,         // spider: the candidate's row
     0,         // id: the candidate's phase and row
@@ -61,22 +60,6 @@ std::vector<SimplifyStats::NamedRuleStats> SimplifyStats::activeRules() const {
   return active;
 }
 
-void SimplifyStats::merge(const SimplifyStats& other) noexcept {
-  spiderFusions += other.spiderFusions;
-  idRemovals += other.idRemovals;
-  localComplementations += other.localComplementations;
-  pivots += other.pivots;
-  gadgetPivots += other.gadgetPivots;
-  boundaryPivots += other.boundaryPivots;
-  gadgetFusions += other.gadgetFusions;
-  for (std::size_t i = 0; i < rules.size(); ++i) {
-    rules[i].candidates += other.rules[i].candidates;
-    rules[i].matches += other.rules[i].matches;
-    rules[i].rewrites += other.rules[i].rewrites;
-    rules[i].seconds += other.rules[i].seconds;
-  }
-}
-
 std::string SimplifyStats::digest() const {
   std::ostringstream os;
   bool first = true;
@@ -95,14 +78,8 @@ std::string SimplifyStats::digest() const {
 // --- worklist ----------------------------------------------------------------
 
 void Simplifier::Worklist::reset(const ZXDiagram& g) {
-  reset(g, 0, g.vertexBound());
-}
-
-void Simplifier::Worklist::reset(const ZXDiagram& g, const Vertex lo,
-                                 const Vertex hi) {
   restart(g);
-  const Vertex end = std::min(hi, g.vertexBound());
-  for (Vertex v = lo; v < end; ++v) {
+  for (Vertex v = 0; v < g.vertexBound(); ++v) {
     if (g.isPresent(v)) {
       sweep_.push_back(v); // ascending: already a valid min-heap
       stamp_[v] = generation_;
@@ -321,9 +298,7 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
   auto& rs = stats_.rules[static_cast<std::size_t>(rule)];
   const auto start = Clock::now();
   enforceVertexBudget();
-  if (regionMode_) {
-    worklist_.reset(g_, regionLo_, regionHi_);
-  } else if ((atFixpoint_ & ruleBit(rule)) != 0) {
+  if ((atFixpoint_ & ruleBit(rule)) != 0) {
     seedChanged(rule);
   } else {
     worklist_.reset(g_);
@@ -354,8 +329,7 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
   // Every rewrite re-enqueued its rule's read radius around what it
   // changed, so a drained pass leaves no match anywhere: from here on the
   // rule only needs to look near later changes.
-  if (!stopped && !regionMode_ &&
-      kReadRadius[static_cast<std::size_t>(rule)] != kFullSeed) {
+  if (!stopped && kReadRadius[static_cast<std::size_t>(rule)] != kFullSeed) {
     changes_.clear(ruleBit(rule));
     atFixpoint_ |= ruleBit(rule);
   }
@@ -532,19 +506,9 @@ std::size_t Simplifier::trySpider(const Vertex v) {
   std::size_t applied = 0;
   bool fusedSomething = true;
   while (fusedSomething && g_.isPresent(v)) {
-    // Every fusion extends v's neighborhood, so region ownership has to be
-    // re-established before each rewrite, not only at candidacy.
-    if (!ownsRegion(v)) {
-      break;
-    }
     fusedSomething = false;
     for (const auto& [w, mult] : g_.neighbors(v)) {
-      // Region mode only fuses upward (w > v): the sequential ascending
-      // sweep always keeps the component-minimal id as the survivor, and
-      // preserving that invariant is what makes the region-parallel
-      // pre-pass land on the same diagram and SimplifyStats totals.
-      if (w != v && mult.simple > 0 && isInteriorZ(w) &&
-          (!regionMode_ || w > v)) {
+      if (w != v && mult.simple > 0 && isInteriorZ(w)) {
         fuse(v, w);
         ++applied;
         fusedSomething = true;
@@ -562,11 +526,6 @@ std::size_t Simplifier::spiderSimp() {
 
 void Simplifier::toGraphLike() {
   resetChangeTracking();
-  toZForm();
-  finishGraphLike();
-}
-
-void Simplifier::toZForm() {
   for (const auto v : g_.vertices()) {
     if (!g_.isPresent(v) || g_.type(v) != VertexType::X) {
       continue;
@@ -591,9 +550,6 @@ void Simplifier::toZForm() {
       normalizeVertex(v);
     }
   }
-}
-
-void Simplifier::finishGraphLike() {
   spiderSimp();
   for (const auto v : g_.vertices()) {
     if (!isInteriorZ(v)) {
@@ -610,20 +566,6 @@ std::size_t Simplifier::tryId(const Vertex v) {
   if (!isInteriorZ(v) || !g_.phase(v).isZero() ||
       g_.edge(v, v).total() != 0 || g_.degree(v) != 2) {
     return 0;
-  }
-  if (regionMode_) {
-    if (!ownsRegion(v)) {
-      return 0;
-    }
-    // Leave spider-fusible vertices to the spider rule: the sequential
-    // engine reaches the spider fixpoint before its first id pass, so
-    // removing such a vertex here would trade a spiderFusion for an
-    // idRemoval and break stats parity with the sequential run.
-    for (const auto& [w, mult] : g_.neighbors(v)) {
-      if (w != v && mult.simple > 0 && isInteriorZ(w)) {
-        return 0;
-      }
-    }
   }
   const auto& adj = g_.neighbors(v);
   if (adj.size() == 1) {
@@ -997,117 +939,8 @@ std::size_t Simplifier::cliffordSimp() {
   return total;
 }
 
-bool Simplifier::ownsRegion(const Vertex v) const {
-  if (!regionMode_) {
-    return true;
-  }
-  const auto inRegion = [this](const Vertex w) {
-    return w >= regionLo_ && w < regionHi_;
-  };
-  if (!inRegion(v)) {
-    return false;
-  }
-  // Inside-out: establish that every direct neighbor is in-region *before*
-  // reading any neighbor's adjacency row — rows outside the region may be
-  // written by their owning region concurrently.
-  const auto& adj = g_.neighbors(v);
-  for (const auto& [w, mult] : adj) {
-    if (!inRegion(w)) {
-      return false;
-    }
-  }
-  for (const auto& [w, mult] : adj) {
-    for (const auto& [x, mult2] : g_.neighbors(w)) {
-      if (!inRegion(x)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void Simplifier::regionFixpoint() {
-  // Fires inside the region worker task, so the throw travels through the
-  // region executor (TaskPool) rather than the calling thread.
-  VERIQC_FAULT_POINT(fault::points::kZXRegionPrepass,
-                     fault::FaultKind::ResourceLimit);
-  while (!stopping()) {
-    const std::size_t round = spiderSimp() + idSimp();
-    if (round == 0) {
-      break;
-    }
-  }
-}
-
-void Simplifier::parallelPrepass() {
-  const std::size_t regions = options_.parallelRegions;
-  if (regions <= 1 || !options_.regionExecutor) {
-    return;
-  }
-  // Distribution has fixed costs (sub-simplifier state, guard checks); tiny
-  // diagrams finish faster sequentially.
-  constexpr std::size_t kMinVerticesPerRegion = 64;
-  const std::size_t live = g_.vertexCount();
-  if (live < regions * kMinVerticesPerRegion) {
-    return;
-  }
-  // Contiguous id ranges with (nearly) equal live-vertex counts. Circuit
-  // diagrams allocate ids along the gate sequence, so contiguous ranges are
-  // also spatially coherent — most edges stay inside one region.
-  const Vertex bound = g_.vertexBound();
-  std::vector<std::pair<Vertex, Vertex>> ranges;
-  ranges.reserve(regions);
-  {
-    Vertex cursor = 0;
-    std::size_t counted = 0;
-    for (std::size_t r = 0; r + 1 < regions; ++r) {
-      const Vertex lo = cursor;
-      const std::size_t target = live * (r + 1) / regions;
-      while (cursor < bound && counted < target) {
-        counted += g_.isPresent(cursor) ? 1 : 0;
-        ++cursor;
-      }
-      ranges.emplace_back(lo, cursor);
-    }
-    ranges.emplace_back(cursor, bound);
-  }
-  SimplifierOptions subOptions = options_;
-  subOptions.parallelRegions = 1;
-  subOptions.regionExecutor = nullptr;
-  std::vector<std::unique_ptr<Simplifier>> subs;
-  std::vector<std::function<void()>> tasks;
-  subs.reserve(ranges.size());
-  tasks.reserve(ranges.size());
-  for (const auto& [lo, hi] : ranges) {
-    if (lo >= hi) {
-      continue;
-    }
-    auto sub = std::make_unique<Simplifier>(g_, shouldStop_, subOptions);
-    sub->regionMode_ = true;
-    sub->regionLo_ = lo;
-    sub->regionHi_ = hi;
-    Simplifier* raw = sub.get();
-    subs.push_back(std::move(sub));
-    tasks.emplace_back([raw] { raw->regionFixpoint(); });
-  }
-  // The executor runs every task and rethrows the first exception
-  // (ResourceLimitError from a region's vertex budget propagates here).
-  options_.regionExecutor(tasks);
-  for (const auto& sub : subs) {
-    stats_.merge(sub->stats_);
-  }
-}
-
 bool Simplifier::fullReduce() {
-  // Z-form first (types/edges settled, sequential), then the region-parallel
-  // spider/id pre-pass, then the regular sequential passes: they run to the
-  // same fixpoints from whatever state the pre-pass left, so the reduced
-  // diagram is independent of the region count. With parallelRegions <= 1
-  // this is exactly the classic toGraphLike() + interiorCliffordSimp().
-  resetChangeTracking();
-  toZForm();
-  parallelPrepass();
-  finishGraphLike();
+  toGraphLike();
   interiorCliffordSimp();
   if (!options_.gadgetRules) {
     // Clifford-only mode: stop at the cliffordSimp fixed point.

@@ -94,12 +94,6 @@ struct SimplifyStats {
   /// Compact per-rule digest ("spider r12/m8/c40 0.1ms; ...") listing only
   /// rules that examined at least one candidate; empty if nothing ran.
   [[nodiscard]] std::string digest() const;
-
-  /// Accumulate another pass's counters into this record (all counters are
-  /// sums; `seconds` becomes CPU time, not wall time, when passes ran
-  /// concurrently). Used to fold region-parallel sub-simplifier stats into
-  /// the owning simplifier so totals are preserved exactly.
-  void merge(const SimplifyStats& other) noexcept;
 };
 
 /// Tuning knobs for the simplifier, threaded from check::Configuration.
@@ -114,18 +108,6 @@ struct SimplifierOptions {
   /// pivots, boundary unfusions — trip it instead of exhausting memory.
   /// \throws ResourceLimitError from the simplification entry points.
   std::size_t maxVertices = 0;
-  /// Regions for the parallel pre-pass of fullReduce (1 = fully
-  /// sequential). The vertex-id space is split into this many contiguous
-  /// ranges; each drains its own spider/id worklist under a closed-2-hop
-  /// ownership guard, then the regular sequential passes run to the
-  /// authoritative fixpoint. Requires `regionExecutor`.
-  std::size_t parallelRegions = 1;
-  /// Executor for the region tasks: must run every thunk (concurrently or
-  /// not) and return only when all have finished, propagating the first
-  /// exception a thunk throws. Injected by the checker layer so veriqc_zx
-  /// stays free of a dependency on its task pool.
-  std::function<void(const std::vector<std::function<void()>>&)>
-      regionExecutor;
 };
 
 /// Stateful simplifier bound to one diagram. The optional `shouldStop`
@@ -182,9 +164,6 @@ public:
     /// Invalidate all queued entries and start a fresh pass seeded with
     /// every live vertex.
     void reset(const ZXDiagram& g);
-    /// As reset(g), but seed only live vertices with lo <= id < hi (the
-    /// region-restricted passes of the parallel pre-pass).
-    void reset(const ZXDiagram& g, Vertex lo, Vertex hi);
     /// As reset(g), but seed exactly `seeds`: live vertices of g, sorted
     /// ascending without duplicates (the incremental passes).
     void reset(const ZXDiagram& g, const std::vector<Vertex>& seeds);
@@ -263,28 +242,6 @@ private:
   friend struct SimplifierTestAccess; ///< tests drive tracked mutations
 
   [[nodiscard]] bool stopping() const { return shouldStop_ && shouldStop_(); }
-  /// Region-parallel spider/id pre-pass of fullReduce: partitions the
-  /// vertex-id space, runs one region-restricted sub-simplifier per range
-  /// through options_.regionExecutor and merges the sub-stats. A no-op
-  /// unless parallelRegions > 1, an executor is set and the diagram is big
-  /// enough to be worth distributing.
-  void parallelPrepass();
-  /// Drain region-restricted spider+id passes to this region's fixpoint.
-  void regionFixpoint();
-  /// Ownership guard of region mode: true when v, N(v) and N(N(v)) all lie
-  /// inside this simplifier's region, so any rewrite at v reads and writes
-  /// only in-region adjacency rows. Evaluated strictly inside-out — v's row
-  /// is read first, neighbor rows only once every neighbor is known to be
-  /// in-region — so the guard itself never reads a row another region may
-  /// be writing. Always true outside region mode.
-  [[nodiscard]] bool ownsRegion(Vertex v) const;
-  /// First half of toGraphLike: X spiders become Z spiders (toggling their
-  /// edges) and self-loops are resolved. Runs before the parallel pre-pass
-  /// so region workers see settled vertex types.
-  void toZForm();
-  /// Second half of toGraphLike: spider fusion to fixpoint plus parallel
-  /// Hadamard-pair cancellation.
-  void finishGraphLike();
   /// \throws ResourceLimitError when the configured vertex budget is
   /// exceeded (no-op for the default unlimited budget).
   void enforceVertexBudget() const;
@@ -366,15 +323,6 @@ private:
   std::uint8_t atFixpoint_ = 0;
   /// Scratch for seedChanged(), kept to reuse its capacity.
   std::vector<Vertex> seeds_;
-
-  /// Region restriction of the parallel pre-pass. In region mode only the
-  /// confluent, vertex-count-preserving-or-decreasing spider/id families
-  /// run, each rewrite guarded by ownsRegion(); rules that add vertices
-  /// (gadgetize, boundary unfusion) are never distributed, since addVertex
-  /// grows shared vectors.
-  bool regionMode_ = false;
-  Vertex regionLo_ = 0;
-  Vertex regionHi_ = 0; ///< exclusive; 0 with regionMode_ false = unused
 };
 
 /// Convenience: full_reduce a diagram in place. Returns false on timeout.

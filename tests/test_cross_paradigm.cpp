@@ -292,94 +292,6 @@ TEST(ManagerCancellationTest, SiblingVerdictRecordsCancelledSlot) {
       << slots[1].toString();
 }
 
-// --- sharded alternating checker ---------------------------------------------
-//
-// checkThreads > 1 splits both gate sequences into per-slot chunks whose
-// partial products are built in private DD packages and then
-// interleave-combined. The verdict contract: identical to the sequential
-// scheme for every slot count, with the same stop-attribution semantics.
-
-TEST(ShardedAlternatingTest, VerdictIsIndependentOfSlotCount) {
-  const auto equivalent = circuits::randomCliffordT(5, 40, 0.2, 3);
-  std::mt19937_64 rng(23);
-  const auto base = circuits::randomCliffordT(5, 40, 0.2, 4);
-  const auto mutant = circuits::flipRandomCnot(base, rng);
-  ASSERT_TRUE(mutant.has_value());
-  Configuration config = quickConfig();
-  const auto baselineEq = ddAlternatingCheck(equivalent, equivalent, config);
-  const auto baselineNe = ddAlternatingCheck(base, *mutant, config);
-  for (const std::size_t threads : {2U, 4U, 8U}) {
-    config.checkThreads = threads;
-    const auto eq = ddAlternatingCheck(equivalent, equivalent, config);
-    EXPECT_EQ(eq.criterion, baselineEq.criterion) << "threads " << threads;
-    EXPECT_NEAR(eq.hilbertSchmidtFidelity, baselineEq.hilbertSchmidtFidelity,
-                1e-12)
-        << "threads " << threads;
-    const auto ne = ddAlternatingCheck(base, *mutant, config);
-    EXPECT_EQ(ne.criterion, baselineNe.criterion) << "threads " << threads;
-  }
-}
-
-TEST(ShardedAlternatingTest, ShardedSwapHeavyCircuitsStayEquivalent) {
-  // SWAP reconstruction routes through the permutation tracker; each shard
-  // snapshots the permutation state at its chunk boundary, which this pair
-  // exercises hard.
-  auto left = circuits::qft(6);
-  auto right = circuits::qft(6);
-  Configuration config = quickConfig();
-  config.checkThreads = 4;
-  const auto result = ddAlternatingCheck(left, right, config);
-  EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
-}
-
-TEST(ShardedAlternatingTest, SiblingCancellationIsNotATimeout) {
-  const auto c = circuits::randomCircuit(6, 200, 1);
-  Configuration config = quickConfig(); // no deadline configured
-  config.checkThreads = 4;
-  const auto result = ddAlternatingCheck(c, c, config, [] { return true; });
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::Cancelled)
-      << result.toString();
-}
-
-TEST(ShardedAlternatingTest, DeadlineExpiryIsATimeout) {
-  const auto c = circuits::randomCircuit(6, 200, 1);
-  Configuration config = quickConfig();
-  config.checkThreads = 4;
-  config.timeout = std::chrono::milliseconds(1);
-  const auto result = ddAlternatingCheck(c, c, config, [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    return true;
-  });
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::Timeout)
-      << result.toString();
-}
-
-TEST(ShardedAlternatingTest, CompilationFlowVerdictMatchesSequential) {
-  const auto original = circuits::qft(5);
-  const auto compiled = original;
-  const std::vector<std::size_t> counts(original.size(), 1);
-  Configuration config = quickConfig();
-  const auto baseline =
-      ddCompilationFlowCheck(original, compiled, counts, config);
-  for (const std::size_t threads : {2U, 4U}) {
-    config.checkThreads = threads;
-    const auto sharded =
-        ddCompilationFlowCheck(original, compiled, counts, config);
-    EXPECT_EQ(sharded.criterion, baseline.criterion) << "threads " << threads;
-  }
-}
-
-TEST(ShardedAlternatingTest, ResourceBudgetStillTripsWhenSharded) {
-  const auto c = circuits::randomCircuit(8, 120, 2);
-  Configuration config = quickConfig();
-  config.checkThreads = 4;
-  config.maxDDNodes = 8; // far below what any shard needs
-  const auto result = ddAlternatingCheck(c, c, config);
-  EXPECT_EQ(result.criterion, EquivalenceCriterion::ResourceExhausted)
-      << result.toString();
-  EXPECT_FALSE(result.errorMessage.empty());
-}
-
 // --- simulation checker stimulus accounting ----------------------------------
 
 TEST(SimulationAccountingTest, PreTrippedStopClaimsNoStimuli) {

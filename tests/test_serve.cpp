@@ -178,7 +178,7 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto parsed = parseJobLine(
       jobLine("j", "a", "b",
               R"({"timeoutMilliseconds":1500,"simulationRuns":3,)"
-              R"("checkThreads":2,"seed":9,"runAlternating":true,)"
+              R"("simulationThreads":2,"seed":9,"runAlternating":true,)"
               R"("runSimulation":false,"runZX":true,"runDense":false,)"
               R"("parallel":false,"maxDDNodes":1000,"maxMemoryMB":64,)"
               R"("recordTrace":true,"oracle":"lookahead"})"),
@@ -187,7 +187,7 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto& c = parsed.request.config;
   EXPECT_EQ(c.timeout, std::chrono::milliseconds(1500));
   EXPECT_EQ(c.simulationRuns, 3U);
-  EXPECT_EQ(c.checkThreads, 2U);
+  EXPECT_EQ(c.simulationThreads, 2U);
   EXPECT_EQ(c.seed, 9U);
   EXPECT_TRUE(c.runAlternating);
   EXPECT_FALSE(c.runSimulation);
@@ -216,6 +216,12 @@ TEST(JobParseTest, TortureLinesAllRejectStructurally) {
        "expected an object"},
       {R"({"id":"j","file1":"a","file2":"b","config":{"maxMemryMB":5}})",
        "unknown configuration key"},
+      // Knobs of removed features are unknown keys too, named in the detail.
+      {R"({"id":"j","file1":"a","file2":"b","config":{"checkThreads":2}})",
+       "config.checkThreads: unknown configuration key"},
+      {R"({"id":"j","file1":"a","file2":"b",)"
+       R"("config":{"zxParallelRegions":2}})",
+       "config.zxParallelRegions: unknown configuration key"},
       {R"({"id":"j","file1":"a","file2":"b",)"
        R"("config":{"timeoutMilliseconds":"fast"}})",
        "non-negative integer"},

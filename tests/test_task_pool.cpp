@@ -85,33 +85,6 @@ TEST(TaskPoolTest, FirstExceptionIsRethrownFromWait) {
   EXPECT_EQ(static_cast<std::size_t>(ran.load()) + group.skippedTasks(), 16U);
 }
 
-TEST(TaskPoolTest, StopTokenSkipsUnstartedTasks) {
-  TaskPool pool(2);
-  std::atomic<bool> tripped{false};
-  std::atomic<int> ran{0};
-  TaskGroup group(pool, [&tripped] { return tripped.load(); });
-  // Trip the token from the first task: everything not yet started must be
-  // skipped, and skippedTasks() has to account for them exactly.
-  group.submit("tripper", [&tripped](std::size_t) { tripped.store(true); });
-  for (int i = 0; i < 32; ++i) {
-    group.submit("skippable", [&ran](std::size_t) { ran.fetch_add(1); });
-  }
-  group.wait();
-  EXPECT_EQ(static_cast<std::size_t>(ran.load()) + group.skippedTasks(), 32U);
-}
-
-TEST(TaskPoolTest, PreTrippedTokenSkipsEverything) {
-  TaskPool pool(4);
-  std::atomic<int> ran{0};
-  TaskGroup group(pool, [] { return true; });
-  for (int i = 0; i < 16; ++i) {
-    group.submit("never", [&ran](std::size_t) { ran.fetch_add(1); });
-  }
-  group.wait();
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(group.skippedTasks(), 16U);
-}
-
 TEST(TaskPoolTest, CancelSkipsUnstartedTasks) {
   TaskPool pool(1); // inline execution makes the cancellation point exact
   std::atomic<int> ran{0};
@@ -148,7 +121,8 @@ TEST(TaskPoolTest, GroupsOnOnePoolAreIndependent) {
   std::atomic<int> a{0};
   std::atomic<int> b{0};
   TaskGroup groupA(pool);
-  TaskGroup groupB(pool, [] { return true; }); // B skips everything
+  TaskGroup groupB(pool);
+  groupB.cancel(); // B skips everything
   for (int i = 0; i < 16; ++i) {
     groupA.submit("a", [&a](std::size_t) { a.fetch_add(1); });
     groupB.submit("b", [&b](std::size_t) { b.fetch_add(1); });
@@ -165,7 +139,7 @@ TEST(TaskPoolTest, PhaseTimerRecordsTaskSpans) {
   obs::PhaseTimer phases;
   TaskPool pool(2);
   {
-    TaskGroup group(pool, {}, &phases);
+    TaskGroup group(pool, &phases);
     group.submit("span:alpha", [](std::size_t) {});
     group.submit("span:beta", [](std::size_t) {});
     group.wait();

@@ -138,54 +138,6 @@ TEST(ThreadingStressTest, TaskPoolGroupChurnUnderContention) {
   EXPECT_EQ(total.load(), 3 * 20 * 16);
 }
 
-TEST(ThreadingStressTest, ShardedAlternatingUnderParallelManager) {
-  // Sharded intra-check parallelism nested inside the parallel manager:
-  // engine threads and shard workers coexist, with the sibling stop token
-  // crossing both layers.
-  auto config = stressConfig();
-  config.checkThreads = 4;
-  const auto a = circuits::qft(5);
-  const auto b = circuits::qft(5);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto result = check::checkEquivalence(a, b, config);
-    EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
-  }
-}
-
-TEST(ThreadingStressTest, ShardedAlternatingCancellationRace) {
-  // Shard workers racing a stop token that trips mid-build: exercises the
-  // skip-unstarted-tasks path and the sawStop merge under contention.
-  const auto c = circuits::randomCircuit(6, 200, 3);
-  check::Configuration config;
-  config.checkThreads = 4;
-  for (int repeat = 0; repeat < 8; ++repeat) {
-    std::atomic<std::size_t> polls{0};
-    // Thresholds stay well below the total number of stop polls a full run
-    // performs (gate-loop polls are strided), so the token always trips
-    // mid-build — just at varying points relative to the shard schedule.
-    const auto threshold = static_cast<std::size_t>(1 + repeat * 2);
-    const auto result = check::ddAlternatingCheck(
-        c, c, config,
-        [&polls, threshold] { return polls.fetch_add(1) >= threshold; });
-    EXPECT_EQ(result.criterion, check::EquivalenceCriterion::Cancelled)
-        << "repeat " << repeat << ": " << result.toString();
-  }
-}
-
-TEST(ThreadingStressTest, RegionParallelZXUnderParallelManager) {
-  // Region workers mutating one shared diagram while the manager's other
-  // engines run: the TSan workload for the ownership-guard discipline and
-  // the atomic live-vertex counter.
-  auto config = stressConfig();
-  config.runZX = true;
-  config.zxParallelRegions = 4;
-  const auto c = circuits::randomClifford(8, 120, 9);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto result = check::checkEquivalence(c, c, config);
-    EXPECT_TRUE(provedEquivalent(result.criterion)) << result.toString();
-  }
-}
-
 TEST(ThreadingStressTest, SharedGateCacheEpochChurn) {
   // Epoch-leasing contract of dd::SharedGateCache under churn: publishers
   // keep replacing the shape's snapshot (new epoch each time), a retirer

@@ -11,12 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <exception>
-#include <mutex>
 #include <random>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace veriqc::zx {
@@ -328,137 +325,6 @@ TEST(ZXSimplifyTest, GadgetFusionFiresOnPhasePolynomials) {
   Simplifier s(d);
   ASSERT_TRUE(s.fullReduce());
   EXPECT_TRUE(proportional(toMatrix(d), before));
-}
-
-/// Executor for the region-parallel tests: real threads, first exception
-/// propagated — the same contract the checker layer's task pool provides.
-void threadedExecutor(const std::vector<std::function<void()>>& tasks) {
-  std::vector<std::thread> threads;
-  threads.reserve(tasks.size());
-  std::mutex mutex;
-  std::exception_ptr firstError;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    threads.emplace_back([&tasks, &mutex, &firstError, i] {
-      try {
-        tasks[i]();
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        if (!firstError) {
-          firstError = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  if (firstError) {
-    std::rethrow_exception(firstError);
-  }
-}
-
-struct RegionRun {
-  SimplifyStats stats;
-  std::size_t spiders = 0;
-  bool identity = false;
-  std::string diagram;
-};
-
-RegionRun reduceWithRegions(ZXDiagram d, const std::size_t regions) {
-  SimplifierOptions options;
-  options.parallelRegions = regions;
-  if (regions > 1) {
-    options.regionExecutor = threadedExecutor;
-  }
-  Simplifier s(d, {}, options);
-  RegionRun run;
-  EXPECT_TRUE(s.fullReduce());
-  run.stats = s.stats();
-  run.spiders = d.spiderCount();
-  const auto perm = extractWirePermutation(d);
-  run.identity = perm.has_value() && perm->isIdentity();
-  run.diagram = d.toString();
-  return run;
-}
-
-TEST(ZXRegionParallelTest, PrepassPreservesStatsAndDiagram) {
-  // The region-parallel pre-pass must land on the same fixpoint as the
-  // sequential engine: identical reduced diagram and identical rewrite
-  // counts for every region count. Scheduler-dependent counters
-  // (candidates, seconds) are excluded — only the rewrite totals are part
-  // of the determinism contract.
-  const auto compare = [](const ZXDiagram& d, const char* label) {
-    const auto baseline = reduceWithRegions(d, 1);
-    for (const std::size_t regions : {2U, 4U, 8U}) {
-      const auto run = reduceWithRegions(d, regions);
-      const std::string tag =
-          std::string(label) + " regions=" + std::to_string(regions);
-      EXPECT_EQ(run.stats.spiderFusions, baseline.stats.spiderFusions) << tag;
-      EXPECT_EQ(run.stats.idRemovals, baseline.stats.idRemovals) << tag;
-      EXPECT_EQ(run.stats.localComplementations,
-                baseline.stats.localComplementations)
-          << tag;
-      EXPECT_EQ(run.stats.pivots, baseline.stats.pivots) << tag;
-      EXPECT_EQ(run.stats.gadgetPivots, baseline.stats.gadgetPivots) << tag;
-      EXPECT_EQ(run.stats.boundaryPivots, baseline.stats.boundaryPivots)
-          << tag;
-      EXPECT_EQ(run.stats.gadgetFusions, baseline.stats.gadgetFusions) << tag;
-      EXPECT_EQ(run.spiders, baseline.spiders) << tag;
-      EXPECT_EQ(run.identity, baseline.identity) << tag;
-      EXPECT_EQ(run.diagram, baseline.diagram) << tag;
-    }
-  };
-  {
-    const auto c = circuits::randomClifford(10, 160, 7);
-    const auto d = circuitToZX(c).compose(circuitToZX(c).adjoint());
-    // Big enough that the pre-pass actually distributes at every region
-    // count under test (kMinVerticesPerRegion = 64).
-    ASSERT_GE(d.vertexCount(), 8U * 64U);
-    compare(d, "clifford-inverse(10,160,7)");
-  }
-  {
-    const auto c = circuits::randomCliffordT(8, 120, 0.2, 11);
-    const auto d = circuitToZX(c).compose(circuitToZX(c).adjoint());
-    ASSERT_GE(d.vertexCount(), 8U * 64U);
-    compare(d, "cliffordT-inverse(8,120,0.2,11)");
-  }
-  {
-    // Non-composed circuit: reduces to a nontrivial fixpoint (spiders
-    // remain), exercising parity away from the identity-wire happy path.
-    compare(circuitToZX(circuits::randomClifford(10, 220, 3)),
-            "clifford(10,220,3)");
-  }
-}
-
-TEST(ZXRegionParallelTest, RegionVerdictMatchesOnEquivalencePairs) {
-  // Circuit-with-inverse pairs must still reduce to identity wires when the
-  // pre-pass runs regionally — across several seeds to vary the partition
-  // boundaries relative to the diagram structure.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const auto c = circuits::randomClifford(8, 100, seed);
-    auto d = circuitToZX(c).compose(circuitToZX(c).adjoint());
-    SimplifierOptions options;
-    options.parallelRegions = 4;
-    options.regionExecutor = threadedExecutor;
-    Simplifier s(d, {}, options);
-    ASSERT_TRUE(s.fullReduce()) << "seed " << seed;
-    const auto perm = extractWirePermutation(d);
-    ASSERT_TRUE(perm.has_value()) << "seed " << seed;
-    EXPECT_TRUE(perm->isIdentity()) << "seed " << seed;
-  }
-}
-
-TEST(ZXRegionParallelTest, RegionVertexBudgetPropagates) {
-  // A region worker tripping the vertex budget must surface as the same
-  // ResourceLimitError the sequential engine throws (via the executor's
-  // first-exception propagation).
-  auto d = circuitToZX(circuits::randomClifford(10, 200, 5));
-  SimplifierOptions options;
-  options.parallelRegions = 4;
-  options.regionExecutor = threadedExecutor;
-  options.maxVertices = 8;
-  Simplifier s(d, {}, options);
-  EXPECT_THROW((void)s.fullReduce(), ResourceLimitError);
 }
 
 TEST(SimplifierBudgetTest, VertexBudgetThrowsResourceLimitError) {
