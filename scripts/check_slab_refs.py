@@ -15,46 +15,34 @@ This checker enforces that contract: it flags every reference or pointer
 binding to slab/real-table storage whose enclosing scope performs a
 potentially-allocating call after the binding.
 
-Engines:
-  - `clang`: AST-based, driven by build/compile_commands.json through the
-    libclang python bindings. Skipped gracefully (exit 0, with a notice)
-    when the bindings or the compilation database are absent.
-  - `lexical`: pure-python fallback that needs nothing but the sources.
-    It understands brace scoping, comments and strings, which is enough to
-    be exact on this codebase's idiom (`--self-test` proves it sharp).
-  - `auto` (default): clang when available, lexical otherwise — so the lint
-    always runs, everywhere.
+The scan is lexical and needs nothing but the sources: it understands
+brace scoping, comments and strings, which is enough to be exact on this
+codebase's idiom (`--self-test` proves it sharp).
 
 Usage:
-  scripts/check_slab_refs.py                 # lint src/dd with engine auto
-  scripts/check_slab_refs.py --engine lexical src/dd
+  scripts/check_slab_refs.py                 # lint src/dd
+  scripts/check_slab_refs.py src/dd/package.cpp
   scripts/check_slab_refs.py --self-test     # mutation sharpness check
 
 --self-test first asserts the current tree is clean, then re-introduces a
 set of historical reference-holding hazards (the exact bug class PR 6's
 slab rewrite had to chase) into an in-memory copy of package.cpp and
-asserts the lexical engine flags every one of them. A checker that cannot
+asserts the lint flags every one of them. A checker that cannot
 re-find the bugs it was built for is worse than no checker; this keeps it
 honest in CI and in `ctest -R slab_ref_lint`.
 
-Exit codes: 0 clean (or gracefully skipped), 1 findings / failed self-test,
-2 usage error.
+Exit codes: 0 clean, 1 findings / failed self-test, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 
 # --- shared hazard model -----------------------------------------------------
-
-# Accessors returning references/pointers into reallocatable storage.
-STORAGE_ACCESSORS = ("children", "weights")
-TABLE_FIND = "find"
 
 # Calls that may reallocate slab storage. Direct table operations plus every
 # Package helper that can transitively reach NodeSlab::lookup. Names, not
@@ -111,7 +99,7 @@ class Finding:
         )
 
 
-# --- lexical engine ----------------------------------------------------------
+# --- scanner -----------------------------------------------------------------
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -240,7 +228,7 @@ def scan_source(text: str, path: str) -> list[Finding]:
     return findings
 
 
-def run_lexical(paths: list[str]) -> list[Finding]:
+def scan_paths(paths: list[str]) -> list[Finding]:
     findings = []
     for path in sorted(collect_sources(paths)):
         with open(path, encoding="utf-8") as f:
@@ -259,100 +247,6 @@ def collect_sources(paths: list[str]) -> list[str]:
                 if name.endswith((".cpp", ".hpp", ".cc", ".h")):
                     out.append(os.path.join(root, name))
     return out
-
-
-# --- libclang engine ---------------------------------------------------------
-
-
-def run_clang(paths: list[str], compile_commands: str) -> list[Finding] | None:
-    """AST-based scan; returns None when libclang is unavailable."""
-    try:
-        from clang import cindex  # type: ignore[import-not-found]
-    except ImportError:
-        return None
-    try:
-        index = cindex.Index.create()
-    except cindex.LibclangError:
-        return None
-    db_dir = os.path.dirname(compile_commands)
-    try:
-        db = cindex.CompilationDatabase.fromDirectory(db_dir)
-    except cindex.CompilationDatabaseError:
-        return None
-
-    sources = [p for p in collect_sources(paths) if p.endswith((".cpp", ".cc"))]
-    findings: list[Finding] = []
-    for src in sorted(sources):
-        commands = db.getCompileCommands(os.path.abspath(src))
-        if not commands:
-            continue
-        args = [a for a in list(commands[0].arguments)[1:] if a != src][:-1]
-        tu = index.parse(src, args=args)
-        findings.extend(_scan_tu(cindex, tu, src))
-    return findings
-
-
-def _scan_tu(cindex, tu, src: str) -> list:
-    """Find reference VarDecls initialized from children()/weights()/find()
-    whose enclosing compound statement later performs an allocating call."""
-    findings = []
-    kinds = cindex.CursorKind
-
-    def storage_binding(decl):
-        if decl.kind != kinds.VAR_DECL:
-            return None
-        spelling = decl.type.spelling
-        is_ref = "&" in spelling
-        is_ptr = spelling.rstrip().endswith("*")
-        if not (is_ref or is_ptr):
-            return None
-        for node in decl.walk_preorder():
-            if node.kind == kinds.CALL_EXPR:
-                if node.spelling in STORAGE_ACCESSORS and is_ref:
-                    return "slab-ref"
-                if node.spelling == TABLE_FIND and is_ptr:
-                    return "table-ptr"
-        return None
-
-    def walk(block):
-        statements = list(block.get_children())
-        for i, statement in enumerate(statements):
-            for child in statement.walk_preorder():
-                if child.kind == kinds.COMPOUND_STMT:
-                    walk(child)
-            binding = None
-            if statement.kind == kinds.DECL_STMT:
-                for decl in statement.get_children():
-                    kind = storage_binding(decl)
-                    if kind is not None:
-                        binding = (decl, kind)
-            if binding is None:
-                continue
-            decl, kind = binding
-            names = SLAB_ALLOCATING if kind == "slab-ref" else TABLE_ALLOCATING
-            for later in statements[i + 1 :]:
-                for node in later.walk_preorder():
-                    if node.kind == kinds.CALL_EXPR and (
-                        node.spelling in names or node.spelling == "lookup"
-                    ):
-                        findings.append(
-                            Finding(
-                                path=src,
-                                line=decl.location.line,
-                                name=decl.spelling,
-                                kind=kind,
-                                call=node.spelling,
-                                call_line=node.location.line,
-                            )
-                        )
-                        return
-        return
-
-    for cursor in tu.cursor.walk_preorder():
-        if cursor.kind == kinds.COMPOUND_STMT and cursor.location.file and \
-                os.path.samefile(cursor.location.file.name, src):
-            walk(cursor)
-    return findings
 
 
 # --- self-test ---------------------------------------------------------------
@@ -424,7 +318,7 @@ def self_test(repo_root: str) -> int:
     real_table_cpp = os.path.join(repo_root, "src", "dd", "real_table.cpp")
     dd_dir = os.path.join(repo_root, "src", "dd")
 
-    clean = run_lexical([dd_dir])
+    clean = scan_paths([dd_dir])
     if clean:
         print("self-test FAILED: the current tree should be clean, but:")
         for finding in clean:
@@ -476,11 +370,6 @@ def main() -> int:
     )
     parser.add_argument("paths", nargs="*",
                         default=[os.path.join(repo_root, "src", "dd")])
-    parser.add_argument("--engine", choices=("auto", "clang", "lexical"),
-                        default="auto")
-    parser.add_argument("--compile-commands",
-                        default=os.path.join(repo_root, "build",
-                                             "compile_commands.json"))
     parser.add_argument("--self-test", action="store_true",
                         help="verify the checker still catches reintroduced "
                              "historical hazards")
@@ -489,27 +378,13 @@ def main() -> int:
     if args.self_test:
         return self_test(repo_root)
 
-    findings = None
-    engine = args.engine
-    if engine in ("auto", "clang"):
-        if os.path.exists(args.compile_commands):
-            findings = run_clang(args.paths, args.compile_commands)
-        if findings is None:
-            if engine == "clang":
-                print("check_slab_refs: libclang python bindings or "
-                      "compile_commands.json unavailable; skipping "
-                      "(engine=clang requested)")
-                return 0
-            engine = "lexical"
-    if findings is None:
-        findings = run_lexical(args.paths)
-
+    findings = scan_paths(args.paths)
     if findings:
         for finding in findings:
             print(finding.render())
-        print(f"check_slab_refs [{engine}]: {len(findings)} finding(s)")
+        print(f"check_slab_refs: {len(findings)} finding(s)")
         return 1
-    print(f"check_slab_refs [{engine}]: clean")
+    print("check_slab_refs: clean")
     return 0
 
 

@@ -9,8 +9,8 @@
 # Under GCC the annotation macros expand to nothing, so this gate needs a
 # Clang toolchain; it skips with a notice when none is installed (the CI
 # static-analysis job provides one). The slab-reference lint
-# (scripts/check_slab_refs.py) runs afterwards either way: its pure-python
-# engine has no toolchain needs, and its --self-test is a tier-1 ctest.
+# (scripts/check_slab_refs.py) runs afterwards either way: it is plain
+# Python with no toolchain needs, and its --self-test is a tier-1 ctest.
 #
 # Usage: scripts/check_thread_safety.sh [build-dir]
 #   build-dir: CMake binary dir for the Clang build (default: build-tsa)

@@ -3,17 +3,19 @@
 # tests/test_threading.cpp is the main workload: the parallel manager's
 # racing engines, the multi-threaded simulation worker pool (including
 # oversubscription and mid-flight cancellation) and several concurrent
-# managers at once. tests/test_task_pool.cpp drives the work-stealing pool's
-# queue/steal/sleep handshakes, cancellation and exception containment
-# directly. tests/test_fault_injection.cpp adds the degradation-ladder retry
-# rounds, the soft watchdog's heartbeat/trip handshake and fault-poisoned
-# task groups, all of which cross thread boundaries. tests/test_serve.cpp runs
-# the veriqcd JobService: concurrent submitting clients, the shared warm
-# gate-cache's epoch publish/lease handshake, shutdown cancelling in-flight
-# jobs, and racing shutdown() callers (the double-join regression). The
+# managers at once. tests/test_task_pool.cpp drives the task pool's shared
+# queue, the wakeups of sleeping workers and waiters, cancellation and
+# exception containment directly. tests/test_fault_injection.cpp adds the
+# degradation-ladder retry rounds, the soft watchdog's heartbeat/trip
+# handshake and fault-poisoned task groups, all of which cross thread
+# boundaries. tests/test_serve.cpp runs the veriqcd JobService: concurrent
+# submitting clients, the shared warm gate-cache's epoch publish/lease
+# handshake, shutdown cancelling in-flight jobs, and racing shutdown()
+# callers (the double-join regression). The
 # SharedGateCacheEpochChurn stress (publishers/readers/retirer hammering one
-# cache while leases stay live) and the EnqueueWakesASleepingWorker missed-
-# wakeup regression run here too. Any TSan report fails the run.
+# cache while leases stay live) and the pool's two wakeup regressions
+# (EnqueueWakesASleepingWorker, WaiterIsWokenByAWorkersCompletion) run here
+# too. Any TSan report fails the run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]
 #   ctest-regex: optional -R filter (default: all thread-stress suites)

@@ -758,8 +758,7 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
     TaskPool pool(workers);
     TaskGroup group(pool);
     for (std::size_t i = 0; i < workers; ++i) {
-      group.submit("simulate:worker" + std::to_string(i),
-                   [&workerFn](std::size_t /*slot*/) { workerFn(); });
+      group.submit(workerFn);
     }
     group.wait();
   }

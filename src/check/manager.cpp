@@ -167,6 +167,10 @@ Result combine(const std::vector<Result>& results, const double elapsed) {
     best = &results.front();
   }
   Result combined = best != nullptr ? *best : Result{};
+  // The winner's kernel counters stay in its own engine record: the combined
+  // record only carries what the manager itself measures, so report and
+  // daemon totals count every engine exactly once.
+  combined.counters = {};
   for (const auto& r : results) {
     if (r.criterion == EquivalenceCriterion::ResourceExhausted) {
       combined.resourceLimitedEngines.push_back(r.method);
@@ -369,8 +373,7 @@ Result EquivalenceCheckingManager::run() {
       // "was started, then yielded") instead of being skipped outright.
       TaskGroup group(pool);
       for (const auto i : pending) {
-        group.submit("engine:" + engineName(slotKind[i], slotConfig[i]),
-                     [&runAttempt, i](std::size_t /*slot*/) { runAttempt(i); });
+        group.submit([&runAttempt, i] { runAttempt(i); });
       }
       try {
         group.wait();

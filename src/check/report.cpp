@@ -325,22 +325,15 @@ obs::Json buildRunReport(const Result& combined,
   report["configuration"] = serializeConfiguration(config);
   report["verdict"] = serializeResult(combined);
   auto engineArray = obs::Json::array();
-  // Aggregate each engine's counters into the top-level counters object
-  // twice: flat (run-wide totals: Sum counters add up, Max counters take
-  // the run-wide maximum) and under an "engine:<name>/" prefix. The prefix
-  // is what keeps concurrent engines attributable — with several DD engines
-  // racing, a flat "dd.*" sum cannot say which engine did the work.
+  // The top-level counters are the run-wide totals: the manager's own
+  // counters plus every engine's, each counted once (Sum counters add up,
+  // Max counters take the run-wide maximum). The per-engine view is each
+  // engine record's own counters object.
   obs::CounterRegistry aggregated;
   aggregated.merge(combined.counters);
-  for (std::size_t i = 0; i < engines.size(); ++i) {
-    const auto& result = engines[i];
+  for (const auto& result : engines) {
     engineArray.push_back(serializeResult(result));
     aggregated.merge(result.counters);
-    if (!result.counters.empty()) {
-      const std::string slot =
-          result.method.empty() ? "slot" + std::to_string(i) : result.method;
-      aggregated.merge(result.counters, "engine:" + slot + "/");
-    }
   }
   report["engines"] = std::move(engineArray);
   auto phaseArray = obs::Json::array();

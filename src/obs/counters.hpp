@@ -72,19 +72,6 @@ public:
     }
   }
 
-  /// As merge, but with every incoming name prefixed. Used by the report
-  /// layer to keep counters of concurrently running engines apart
-  /// ("engine:<name>/dd.walks" instead of a flat, indistinguishable sum).
-  void merge(const CounterRegistry& other, const std::string& prefix) {
-    for (const auto& [name, counter] : other.counters_) {
-      if (counter.kind == Kind::Max) {
-        max(prefix + name, counter.value);
-      } else {
-        add(prefix + name, counter.value);
-      }
-    }
-  }
-
   [[nodiscard]] bool empty() const noexcept { return counters_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return counters_.size(); }
 

@@ -260,8 +260,9 @@ void JobService::runJob(const std::size_t slot, JobRequest request) {
       metrics_.add("serve/jobs_completed", 1.0);
       metrics_.add("serve/verdict." + check::criterionKey(combined.criterion),
                    1.0);
-      // Per-job kernel counters sum into the daemon totals (Sum counters
-      // add, Max counters take the daemon-wide maximum).
+      // Per-job counters sum into the daemon totals (Sum counters add, Max
+      // counters take the daemon-wide maximum): the manager's own counters
+      // once, then every engine's kernel counters once.
       metrics_.merge(combined.counters);
       for (const auto& engine : manager.engineResults()) {
         metrics_.merge(engine.counters);

@@ -2,11 +2,12 @@
 /// \brief Clang Thread Safety Analysis macros for compile-time locking
 ///        contracts.
 ///
-/// Every mutex-protected structure of the concurrent layers (TaskPool,
-/// SoftWatchdog, SharedGateCache, JobService, PhaseTimer, fault::Registry)
-/// declares which capability guards which field (`VERIQC_GUARDED_BY`) and
-/// which functions demand or acquire capabilities (`VERIQC_REQUIRES`,
-/// `VERIQC_ACQUIRE`/`VERIQC_RELEASE`, `VERIQC_EXCLUDES`). Under Clang the
+/// Every mutex-protected structure of the concurrent layers (TaskPool and
+/// the TaskGroups its one mutex guards, SoftWatchdog, SharedGateCache,
+/// JobService, PhaseTimer, fault::Registry) declares which capability
+/// guards which field (`VERIQC_GUARDED_BY`) and which functions demand or
+/// acquire capabilities (`VERIQC_REQUIRES`, `VERIQC_ACQUIRE`/
+/// `VERIQC_RELEASE`, `VERIQC_EXCLUDES`). Under Clang the
 /// contracts are machine-checked at compile time:
 ///
 ///     clang++ ... -Wthread-safety -Werror=thread-safety

@@ -88,7 +88,11 @@ Json goldenReport() {
        "node budget of 100000 exceeded"},
   };
 
+  // Mirror the manager: the combined record copies the winning slot but not
+  // its kernel counters, and carries only what the manager measures itself.
   Result combined = engines[0];
+  combined.counters = {};
+  combined.counters.add("watchdog/trips", 1);
   combined.method = "manager";
   combined.runtimeSeconds = 1.25;
   combined.resourceLimitedEngines = {"engine-7"};
@@ -172,24 +176,30 @@ TEST(GoldenReportTest, GoldenFileIsValidAndRoundTrips) {
 }
 
 TEST(GoldenReportTest, EngineCountersAreNamespacedBySlot) {
-  // Regression: with several engines racing, the top-level counters object
-  // used to merge every engine's "dd.*" counters into one flat sum, so the
-  // per-engine share was unrecoverable. Each engine's counters must now
-  // also appear under an "engine:<method>/" prefix, alongside the flat
-  // run-wide totals.
+  // Each engine's counters live in its own slot record; the top-level
+  // counters are the run-wide totals, every engine counted once, plus the
+  // manager's own counters. Regression: the combined record used to carry a
+  // copy of the winner's counters, so the totals counted the winner twice
+  // (200 lookups for one engine's 100), and every engine counter was
+  // repeated under an "engine:<method>/" prefix.
   const auto report = goldenReport();
-  const auto& counters = report.at("counters");
-  ASSERT_NE(counters.find("engine:engine-0/dd.multiply.lookups"), nullptr);
-  ASSERT_NE(counters.find("engine:engine-0/dd.nodes.peak"), nullptr);
-  ASSERT_NE(counters.find("engine:engine-1/zx.rewrites"), nullptr);
+  const auto& engines = report.at("engines").asArray();
   EXPECT_DOUBLE_EQ(
-      counters.at("engine:engine-0/dd.multiply.lookups").asDouble(), 100.0);
-  EXPECT_DOUBLE_EQ(counters.at("engine:engine-1/zx.rewrites").asDouble(),
+      engines[0].at("counters").at("dd.multiply.lookups").asDouble(), 100.0);
+  EXPECT_DOUBLE_EQ(engines[0].at("counters").at("dd.nodes.peak").asDouble(),
+                   42.0);
+  EXPECT_DOUBLE_EQ(engines[1].at("counters").at("zx.rewrites").asDouble(),
                    23.0);
-  // Flat totals are preserved: the combined result contributes the same
-  // dd counters once more, so the run-wide sum is engine + combined.
-  EXPECT_DOUBLE_EQ(counters.at("dd.multiply.lookups").asDouble(), 200.0);
+  EXPECT_EQ(report.at("verdict").at("counters").find("dd.multiply.lookups"),
+            nullptr);
+  const auto& counters = report.at("counters");
+  EXPECT_DOUBLE_EQ(counters.at("dd.multiply.lookups").asDouble(), 100.0);
+  EXPECT_DOUBLE_EQ(counters.at("dd.nodes.peak").asDouble(), 42.0);
   EXPECT_DOUBLE_EQ(counters.at("zx.rewrites").asDouble(), 23.0);
+  EXPECT_DOUBLE_EQ(counters.at("watchdog/trips").asDouble(), 1.0);
+  for (const auto& [name, value] : counters.asObject()) {
+    EXPECT_NE(name.rfind("engine:", 0), 0U) << name;
+  }
 }
 
 // --- validator ---------------------------------------------------------------
@@ -333,4 +343,30 @@ TEST(LiveReportTest, ManagerRunSerializesParsesAndMatchesEngineResults) {
     sawDDCounter = sawDDCounter || name.rfind("dd.", 0) == 0;
   }
   EXPECT_TRUE(sawDDCounter);
+}
+
+TEST(LiveReportTest, TopLevelCountersCountEachEngineOnce) {
+  // Both DD engines start in parallel and export counters; the report's
+  // run-wide totals must equal the sums over the engine records, not count
+  // the winner a second time through the combined record.
+  Configuration config;
+  config.simulationRuns = 4;
+  config.parallel = true;
+  EquivalenceCheckingManager manager(circuits::ghz(5), circuits::ghz(5),
+                                     config);
+  const auto combined = manager.run();
+  EXPECT_TRUE(provedEquivalent(combined.criterion)) << combined.toString();
+  const auto report = buildRunReport(manager, combined, config);
+  for (const char* name : {"dd.multiply.lookups", "dd.gate_cache.lookups"}) {
+    double sum = 0.0;
+    for (const auto& engine : report.at("engines").asArray()) {
+      if (const auto* value = engine.at("counters").find(name);
+          value != nullptr) {
+        sum += value->asDouble();
+      }
+    }
+    EXPECT_GT(sum, 0.0) << name;
+    ASSERT_NE(report.at("counters").find(name), nullptr) << name;
+    EXPECT_DOUBLE_EQ(report.at("counters").at(name).asDouble(), sum) << name;
+  }
 }

@@ -637,6 +637,7 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
   ASSERT_EQ(reports.size(), 50U); // exactly one line per submission
   std::map<std::string, std::size_t> seen;
   double reportedMultiplyLookups = 0.0;
+  double engineMultiplyLookups = 0.0;
   std::size_t ran = 0;
   for (const auto& [id, report] : reports) {
     ++seen[id];
@@ -664,6 +665,13 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
           lookups != nullptr) {
         reportedMultiplyLookups += lookups->asDouble();
       }
+      for (const auto& engine : report.at("engines").asArray()) {
+        if (const auto* lookups =
+                engine.at("counters").find("dd.multiply.lookups");
+            lookups != nullptr) {
+          engineMultiplyLookups += lookups->asDouble();
+        }
+      }
     }
   }
   // Rejected malformed lines may report an empty id; every non-empty id
@@ -676,7 +684,7 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
 
   // Daemon metrics are consistent with the per-job reports: admission
   // counters add up, and the kernel counters are the sum of what every
-  // job's own report declared.
+  // job's own report declared, each engine's work counted once.
   const auto metrics = service.metricsJson();
   EXPECT_EQ(metrics.at("schema").asString(), "veriqc-metrics/v1");
   const auto& counters = metrics.at("counters");
@@ -699,6 +707,8 @@ TEST(JobServiceTest, FiftyJobMixedBatchAcceptance) {
   EXPECT_DOUBLE_EQ(counter("serve/rejected.budget_exceeds_limit"), 8.0);
   EXPECT_DOUBLE_EQ(counter("dd.multiply.lookups"),
                    reportedMultiplyLookups);
+  EXPECT_GT(engineMultiplyLookups, 0.0);
+  EXPECT_DOUBLE_EQ(counter("dd.multiply.lookups"), engineMultiplyLookups);
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, 50U);

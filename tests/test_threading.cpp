@@ -115,7 +115,8 @@ TEST(ThreadingStressTest, ConcurrentManagersAreIndependent) {
 
 TEST(ThreadingStressTest, TaskPoolGroupChurnUnderContention) {
   // Many short-lived groups on one pool from several submitting threads:
-  // the TSan workload for the pool's queue/steal/sleep handshakes.
+  // the TSan workload for the pool's shared queue, its group bookkeeping and
+  // the wakeups of sleeping workers and waiters.
   check::TaskPool pool(4);
   std::vector<std::thread> submitters;
   std::atomic<int> total{0};
@@ -124,7 +125,7 @@ TEST(ThreadingStressTest, TaskPoolGroupChurnUnderContention) {
       for (int round = 0; round < 20; ++round) {
         check::TaskGroup group(pool);
         for (int i = 0; i < 16; ++i) {
-          group.submit("stress", [&total](std::size_t) {
+          group.submit([&total] {
             total.fetch_add(1, std::memory_order_relaxed);
           });
         }
