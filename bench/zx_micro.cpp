@@ -4,6 +4,7 @@
 #include "compile/architecture.hpp"
 #include "compile/decompose.hpp"
 #include "compile/mapper.hpp"
+#include "opt/optimizer.hpp"
 #include "zx/circuit_to_zx.hpp"
 #include "zx/simplify.hpp"
 
@@ -89,14 +90,11 @@ void BM_GroverReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_GroverReduction)->Arg(5)->Arg(6);
 
-void BM_CompiledReduction(benchmark::State& state) {
-  // zxCheck's diagram for the paper's compiled grover(5,19) cell: G against
-  // G' compiled to the 65-qubit heavy hex, aligned, decomposed and composed
-  // with the adjoint. Reducing it is most of that cell's t_zx; `candidates`
-  // counts what the scheduler examined for those rewrites.
-  const auto g = circuits::grover(5, 19);
-  const auto gPrime = compile::compileForArchitecture(
-      g, compile::Architecture::ibmManhattanLike());
+/// Reduce zxCheck's diagram for G against G' (aligned, decomposed and
+/// composed with the adjoint) once per iteration; `candidates` counts what
+/// the scheduler examined for the `rewrites`.
+void reduceCheckDiagram(benchmark::State& state, const QuantumCircuit& g,
+                        const QuantumCircuit& gPrime) {
   const auto [a, b] = alignCircuits(g, gPrime);
   const auto base =
       zx::circuitToZX(compile::decomposeForZX(a))
@@ -116,7 +114,24 @@ void BM_CompiledReduction(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(candidates);
   state.counters["rewrites"] = static_cast<double>(rewrites);
 }
+
+void BM_CompiledReduction(benchmark::State& state) {
+  // The paper's compiled grover(5,19) cell: G against G' compiled to the
+  // 65-qubit heavy hex. Reducing it is most of that cell's t_zx.
+  const auto g = circuits::grover(5, 19);
+  reduceCheckDiagram(state, g,
+                     compile::compileForArchitecture(
+                         g, compile::Architecture::ibmManhattanLike()));
+}
 BENCHMARK(BM_CompiledReduction)->Unit(benchmark::kMillisecond);
+
+void BM_OptimizedReduction(benchmark::State& state) {
+  // The paper's optimized urf-like cell: the decomposed circuit against its
+  // optimized version. Gadget pivoting takes most of this reduction.
+  const auto g = compile::decomposeToCnot(circuits::urfLike(8, 60, 154));
+  reduceCheckDiagram(state, g, opt::optimize(g));
+}
+BENCHMARK(BM_OptimizedReduction)->Unit(benchmark::kMillisecond);
 
 void BM_CliffordReductionLarge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -87,7 +87,7 @@ run_bench "./$BUILD_DIR/bench/zx_micro" "$OUT_ZX" \
   --benchmark_format=json \
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=3 \
-  --benchmark_filter='BM_GroverReduction|BM_CompiledReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
+  --benchmark_filter='BM_GroverReduction|BM_CompiledReduction|BM_OptimizedReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
 
 # Thread-scaling record: the simulation worker pool at 1, 2 and 4 slots.
 # The per-entry hardware_concurrency counter says how many cores the host

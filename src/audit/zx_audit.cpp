@@ -1,6 +1,7 @@
 #include "audit/zx_audit.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <unordered_set>
@@ -74,8 +75,10 @@ AuditReport auditDiagram(const zx::ZXDiagram& diagram,
 
   for (const auto v : diagram.vertices()) {
     const auto& row = diagram.neighbors(v);
+    std::int64_t recounted = 0; // edge ends; self-loops count twice
     for (std::size_t i = 0; i < row.size(); ++i) {
       const auto& entry = row[i];
+      recounted += entry.edges.total() * (entry.vertex == v ? 2 : 1);
       if (i > 0 && row[i - 1].vertex >= entry.vertex) {
         report.add(AuditSeverity::Error, "zx.adj.order",
                    "adjacency row not sorted strictly ascending at neighbor " +
@@ -112,6 +115,14 @@ AuditReport auditDiagram(const zx::ZXDiagram& diagram,
                      vertexLocation(v));
         }
       }
+    }
+
+    if (static_cast<std::int64_t>(diagram.degree(v)) != recounted) {
+      report.add(AuditSeverity::Error, "zx.degree",
+                 "stored degree " + std::to_string(diagram.degree(v)) +
+                     " but the adjacency row holds " +
+                     std::to_string(recounted) + " edge ends",
+                 vertexLocation(v));
     }
 
     auditPhase(diagram.phase(v), vertexLocation(v), report);

@@ -2,17 +2,18 @@
 /// \brief Structural auditors for ZX-diagrams and the simplifier worklist.
 ///
 /// The rewrite engine assumes an undirected multigraph stored as sorted
-/// adjacency rows, boundary vertices of degree exactly 1 carrying no phase,
-/// phases in PiRational normal form, a worklist whose membership stamps
-/// agree with its two sweep heaps, and a change mask whose vertex list
-/// names exactly the vertices with a nonzero mask. These auditors re-derive
-/// each property.
+/// adjacency rows with a matching stored degree per vertex, boundary
+/// vertices of degree exactly 1 carrying no phase, phases in PiRational
+/// normal form, a worklist whose membership stamps agree with its two sweep
+/// heaps, and a change mask whose vertex list names exactly the vertices
+/// with a nonzero mask. These auditors re-derive each property.
 ///
 /// Finding codes:
 ///   zx.adj.symmetry     edge multiplicities differ between the directions
 ///   zx.adj.order        adjacency row not sorted strictly ascending
 ///   zx.adj.present      adjacency references an absent vertex
 ///   zx.adj.empty        adjacency entry with zero total multiplicity
+///   zx.degree           stored degree differs from the row's recount
 ///   zx.boundary.degree  boundary vertex with degree != 1
 ///   zx.boundary.phase   boundary vertex carrying a nonzero phase
 ///   zx.boundary.io      inputs/outputs list inconsistent with the diagram
@@ -27,10 +28,10 @@
 
 namespace veriqc::audit {
 
-/// Audits adjacency symmetry and ordering, boundary-vertex invariants and
-/// phase normal form of a diagram. `boundariesFinal` should be false while a
-/// diagram is under construction or mid-rewrite (boundary degree may then
-/// legitimately differ from 1; the check is skipped).
+/// Audits adjacency symmetry and ordering, stored degrees, boundary-vertex
+/// invariants and phase normal form of a diagram. `boundariesFinal` should
+/// be false while a diagram is under construction or mid-rewrite (boundary
+/// degree may then legitimately differ from 1; the check is skipped).
 [[nodiscard]] AuditReport auditDiagram(const zx::ZXDiagram& diagram,
                                        bool boundariesFinal = true);
 

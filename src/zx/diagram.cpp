@@ -28,6 +28,7 @@ Vertex ZXDiagram::addVertex(const VertexType type, const PiRational phase) {
   phases_.push_back(phase);
   present_.push_back(true);
   adj_.emplace_back();
+  degrees_.push_back(0);
   ++liveCount_;
   return v;
 }
@@ -45,9 +46,11 @@ void ZXDiagram::addEdge(const Vertex u, const Vertex v, const EdgeType type) {
     }
   };
   bump(adj_.at(u), v);
+  ++degrees_[u];
   if (u != v) {
     bump(adj_.at(v), u);
   }
+  ++degrees_[v]; // for u == v, the loop's second end
 }
 
 void ZXDiagram::removeEdge(const Vertex u, const Vertex v,
@@ -69,22 +72,29 @@ void ZXDiagram::removeEdge(const Vertex u, const Vertex v,
     }
   };
   update(adj_.at(u), v);
+  --degrees_[u];
   if (u != v) {
     update(adj_.at(v), u);
   }
+  --degrees_[v];
 }
 
 void ZXDiagram::removeAllEdges(const Vertex u, const Vertex v) {
   const auto drop = [](NeighborList& list, const Vertex key) {
     const auto it = lowerBound(list, key);
-    if (it != list.end() && it->vertex == key) {
-      list.erase(it);
+    if (it == list.end() || it->vertex != key) {
+      return std::size_t{0};
     }
+    const auto count = static_cast<std::size_t>(it->edges.total());
+    list.erase(it);
+    return count;
   };
-  drop(adj_.at(u), v);
+  const std::size_t count = drop(adj_.at(u), v);
+  degrees_[u] -= count;
   if (u != v) {
     drop(adj_.at(v), u);
   }
+  degrees_[v] -= count;
 }
 
 void ZXDiagram::removeVertex(const Vertex v) {
@@ -98,11 +108,86 @@ void ZXDiagram::removeVertex(const Vertex v) {
       if (it != list.end() && it->vertex == v) {
         list.erase(it);
       }
+      degrees_[neighbor] -= static_cast<std::size_t>(mult.total());
     }
   }
   adj_.at(v).clear();
+  degrees_[v] = 0;
   present_[v] = false;
   --liveCount_;
+}
+
+void ZXDiagram::toggleHadamardAcross(
+    const std::span<const std::span<const Vertex>> parts) {
+  // Every member with the index of its part, in ascending vertex order: the
+  // toggle list of a member is this list without its own part.
+  struct Member {
+    Vertex vertex;
+    std::size_t part;
+  };
+  std::size_t total = 0;
+  for (const auto part : parts) {
+    total += part.size();
+  }
+  std::vector<Member> members;
+  members.reserve(total);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    for (const Vertex v : parts[p]) {
+      if (!isPresent(v)) {
+        throw CircuitError("ZXDiagram::toggleHadamardAcross: absent vertex");
+      }
+      members.push_back({v, p});
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const Member& a, const Member& b) {
+              return a.vertex < b.vertex;
+            });
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    if (members[i].vertex == members[i - 1].vertex) {
+      throw CircuitError(
+          "ZXDiagram::toggleHadamardAcross: vertex listed twice");
+    }
+  }
+  // One merge per row into a reused buffer, then copied back so the row
+  // keeps its own capacity.
+  NeighborList merged;
+  for (const auto& [x, part] : members) {
+    if (parts[part].size() == members.size()) {
+      continue; // every other part is empty: nothing to toggle
+    }
+    auto& row = adj_[x];
+    auto& degree = degrees_[x];
+    merged.clear();
+    merged.reserve(row.size() + members.size());
+    auto it = row.begin();
+    for (const auto& [y, yPart] : members) {
+      if (yPart == part) {
+        continue;
+      }
+      while (it != row.end() && it->vertex < y) {
+        merged.push_back(*it++);
+      }
+      if (it == row.end() || it->vertex != y) {
+        merged.push_back(NeighborEntry{y, {0, 1}});
+        ++degree;
+        continue;
+      }
+      NeighborEntry entry = *it++;
+      if (entry.edges.hadamard > 0) {
+        --entry.edges.hadamard;
+        --degree;
+      } else {
+        ++entry.edges.hadamard;
+        ++degree;
+      }
+      if (entry.edges.total() > 0) {
+        merged.push_back(entry);
+      }
+    }
+    merged.insert(merged.end(), it, row.end());
+    row.assign(merged.begin(), merged.end());
+  }
 }
 
 EdgeMultiplicity ZXDiagram::edge(const Vertex u, const Vertex v) const {
@@ -110,14 +195,6 @@ EdgeMultiplicity ZXDiagram::edge(const Vertex u, const Vertex v) const {
   const auto it = lowerBound(list, v);
   return (it == list.end() || it->vertex != v) ? EdgeMultiplicity{}
                                                : it->edges;
-}
-
-std::size_t ZXDiagram::degree(const Vertex v) const {
-  std::size_t d = 0;
-  for (const auto& [neighbor, mult] : adj_.at(v)) {
-    d += static_cast<std::size_t>(mult.total()) * (neighbor == v ? 2 : 1);
-  }
-  return d;
 }
 
 std::size_t ZXDiagram::spiderCount() const {
@@ -179,6 +256,7 @@ ZXDiagram ZXDiagram::compose(const ZXDiagram& next) const {
     result.phases_.push_back(next.phases_[v]);
     result.present_.push_back(next.present_[v]);
     result.adj_.emplace_back();
+    result.degrees_.push_back(0); // the edges below are added one by one
     if (next.present_[v]) {
       ++result.liveCount_;
     }

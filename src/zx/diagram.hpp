@@ -6,6 +6,7 @@
 #include "zx/rational.hpp"
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -72,6 +73,14 @@ public:
   /// Remove a vertex and all incident edges.
   void removeVertex(Vertex v);
 
+  /// Toggle one Hadamard edge between every pair of vertices that lie in
+  /// different parts ({A, B, C} for a pivot, singletons for a local
+  /// complementation): a pair with a Hadamard edge loses one, any other
+  /// pair gains one, and an entry left with no edges is erased. Each
+  /// affected row is rebuilt by one merge with its sorted toggle list.
+  /// \throws CircuitError if a vertex is absent or listed twice.
+  void toggleHadamardAcross(std::span<const std::span<const Vertex>> parts);
+
   /// Declare boundary vertices as the diagram interface, in qubit order.
   void setInputs(std::vector<Vertex> inputs) { inputs_ = std::move(inputs); }
   void setOutputs(std::vector<Vertex> outputs) {
@@ -101,8 +110,9 @@ public:
     return edge(u, v).total() > 0;
   }
 
-  /// Total incident edge count (self-loops count twice).
-  [[nodiscard]] std::size_t degree(Vertex v) const;
+  /// Total incident edge count (self-loops count twice); kept up to date
+  /// by every mutator, so O(1).
+  [[nodiscard]] std::size_t degree(Vertex v) const { return degrees_.at(v); }
 
   [[nodiscard]] const std::vector<Vertex>& inputs() const noexcept {
     return inputs_;
@@ -146,6 +156,8 @@ private:
   /// One byte per vertex (nonzero = live).
   std::vector<std::uint8_t> present_;
   std::vector<NeighborList> adj_;
+  /// degrees_[v] == the degree recounted from adj_[v] (0 once removed).
+  std::vector<std::size_t> degrees_;
   std::vector<Vertex> inputs_;
   std::vector<Vertex> outputs_;
   std::size_t liveCount_ = 0;

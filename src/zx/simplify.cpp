@@ -17,6 +17,9 @@ using Clock = std::chrono::steady_clock;
 /// Marks a rule whose passes always seed every live vertex.
 constexpr int kFullSeed = -1;
 
+/// Deepest neighborhood a rewrite re-enqueues (touchNeighborhood2).
+constexpr std::uint64_t kMaxTouchDepth = 2;
+
 /// Read radius of each rule's match predicate, indexed by SimplifyRule: the
 /// graph distance from a candidate at which the predicate reads mutable
 /// state (phase, adjacency row or degree, presence). Vertex types are fixed
@@ -320,6 +323,7 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
       VERIQC_FAULT_POINT(fault::points::kZXDrain,
                          fault::FaultKind::ResourceLimit);
     }
+    expansionEpoch_ += kMaxTouchDepth; // forget the last candidate's expansions
     const std::size_t applied = tryRule(v);
     if (applied > 0) {
       ++rs.matches;
@@ -413,8 +417,36 @@ void Simplifier::setType(const Vertex v, const VertexType type) {
   markChanged(v);
 }
 
+void Simplifier::toggleHadamardAcross(
+    const std::span<const std::span<const Vertex>> parts) {
+  g_.toggleHadamardAcross(parts);
+  std::size_t members = 0;
+  for (const auto part : parts) {
+    members += part.size();
+  }
+  for (const auto part : parts) {
+    if (part.size() < members) { // some other part is nonempty
+      for (const Vertex v : part) {
+        markChanged(v);
+      }
+    }
+  }
+}
+
+bool Simplifier::claimExpansion(const Vertex v, const std::uint64_t depth) {
+  if (v >= expanded_.size()) {
+    expanded_.resize(static_cast<std::size_t>(v) + 1, 0);
+  }
+  const std::uint64_t stamp = expansionEpoch_ + depth;
+  if (expanded_[v] >= stamp) {
+    return false;
+  }
+  expanded_[v] = stamp;
+  return true;
+}
+
 void Simplifier::touchNeighborhood(const Vertex v) {
-  if (!g_.isPresent(v)) {
+  if (!g_.isPresent(v) || !claimExpansion(v, 1)) {
     return;
   }
   worklist_.push(v);
@@ -424,7 +456,7 @@ void Simplifier::touchNeighborhood(const Vertex v) {
 }
 
 void Simplifier::touchNeighborhood2(const Vertex v) {
-  if (!g_.isPresent(v)) {
+  if (!g_.isPresent(v) || !claimExpansion(v, 2)) {
     return;
   }
   worklist_.push(v);
@@ -610,14 +642,6 @@ std::size_t Simplifier::idSimp() {
                  [this](const Vertex v) { return tryId(v); });
 }
 
-void Simplifier::toggleHadamard(const Vertex a, const Vertex b) {
-  if (g_.edge(a, b).hadamard > 0) {
-    removeEdge(a, b, EdgeType::Hadamard);
-  } else {
-    addEdge(a, b, EdgeType::Hadamard);
-  }
-}
-
 std::size_t Simplifier::tryLcomp(const Vertex v) {
   if (!isInteriorZ(v) || !g_.phase(v).isProperClifford() ||
       g_.edge(v, v).total() != 0 || !allNeighborsInteriorViaHadamard(v)) {
@@ -630,11 +654,12 @@ std::size_t Simplifier::tryLcomp(const Vertex v) {
   }
   const PiRational delta = -g_.phase(v);
   removeVertex(v);
-  for (std::size_t i = 0; i < neighborhood.size(); ++i) {
-    for (std::size_t j = i + 1; j < neighborhood.size(); ++j) {
-      toggleHadamard(neighborhood[i], neighborhood[j]);
-    }
+  std::vector<std::span<const Vertex>> singletons;
+  singletons.reserve(neighborhood.size());
+  for (const Vertex& w : neighborhood) {
+    singletons.emplace_back(&w, 1);
   }
+  toggleHadamardAcross(singletons);
   for (const auto w : neighborhood) {
     addPhase(w, delta);
   }
@@ -673,21 +698,9 @@ void Simplifier::pivot(const Vertex u, const Vertex v, const int touchDepth) {
   const PiRational pv = g_.phase(v);
   removeVertex(u);
   removeVertex(v);
-  for (const auto a : exclusiveU) {
-    for (const auto b : exclusiveV) {
-      toggleHadamard(a, b);
-    }
-  }
-  for (const auto a : exclusiveU) {
-    for (const auto c : common) {
-      toggleHadamard(a, c);
-    }
-  }
-  for (const auto b : exclusiveV) {
-    for (const auto c : common) {
-      toggleHadamard(b, c);
-    }
-  }
+  const std::array<std::span<const Vertex>, 3> parts = {exclusiveU, exclusiveV,
+                                                        common};
+  toggleHadamardAcross(parts);
   for (const auto a : exclusiveU) {
     addPhase(a, pv);
   }

@@ -20,6 +20,14 @@
 /// every live vertex. A later pass thus costs the size of the changed
 /// neighborhoods plus the work done, not O(diagram); in exchange the diagram
 /// must only be mutated through the simplifier between its passes.
+///
+/// A rewrite does each piece of bookkeeping once. Every rule body finishes
+/// its mutations before it re-enqueues anything, and the worklist's scan
+/// position only moves between candidates, so re-enqueueing a vertex's
+/// neighborhood a second time for the same candidate queues nothing new:
+/// each vertex is expanded at most once per candidate and depth. Degrees are
+/// stored by the diagram, and a pivot or local complementation toggles its
+/// Hadamard edges with one merge per adjacency row.
 #pragma once
 
 #include "ir/permutation.hpp"
@@ -30,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -274,14 +283,25 @@ private:
   void addPhase(Vertex v, const PiRational& delta);
   void setPhase(Vertex v, PiRational phase);
   void setType(Vertex v, VertexType type);
+  /// ZXDiagram::toggleHadamardAcross, marking each vertex that gained or
+  /// lost an edge.
+  void toggleHadamardAcross(std::span<const std::span<const Vertex>> parts);
   /// Record a change at v for every rule whose mask is live.
   void markChanged(const Vertex v) { changes_.mark(v, atFixpoint_); }
 
-  /// Re-enqueue v (if still present) and all its current neighbors.
+  /// Record that v is expanded to `depth` hops for the current candidate.
+  /// Returns false if it already was, to at least that depth: the expansion
+  /// would only re-queue vertices that are still pending.
+  bool claimExpansion(Vertex v, std::uint64_t depth);
+  /// Re-enqueue v (if still present) and all its current neighbors, unless
+  /// the current candidate already did.
   void touchNeighborhood(Vertex v);
-  /// Re-enqueue v's 2-hop neighborhood. Needed by the pivot variants whose
-  /// candidacy inspects neighbor degrees (hasLeafNeighbor): a changed edge
-  /// endpoint sits up to two hops from candidates it re-enables.
+  /// Re-enqueue v's 2-hop neighborhood, unless the current candidate already
+  /// did. Needed by the pivot variants whose candidacy inspects neighbor
+  /// degrees (hasLeafNeighbor): a changed edge endpoint sits up to two hops
+  /// from candidates it re-enables. Only call it, like touchNeighborhood,
+  /// after the candidate's last mutation: the expansion is skipped on the
+  /// assumption that the rows it would read have not changed since.
   void touchNeighborhood2(Vertex v);
 
   // Per-candidate rule bodies; each returns the number of rewrites applied
@@ -299,8 +319,6 @@ private:
   void normalizePair(Vertex u, Vertex v);
   /// Fuse v into u (requires a plain edge between two Z spiders).
   void fuse(Vertex u, Vertex v);
-  /// Toggle the single Hadamard edge between two interior spiders.
-  void toggleHadamard(Vertex a, Vertex b);
   /// Core pivot about the Hadamard edge (u, v); preconditions checked by the
   /// callers. Touched neighborhoods are re-enqueued to the given depth
   /// (1 hop for the plain pivot, 2 hops for the leaf-guarded variants).
@@ -323,6 +341,11 @@ private:
   std::uint8_t atFixpoint_ = 0;
   /// Scratch for seedChanged(), kept to reuse its capacity.
   std::vector<Vertex> seeds_;
+  /// v was expanded to depth d for the current candidate iff
+  /// expanded_[v] == expansionEpoch_ + d; runPass advances the epoch by the
+  /// deepest touch depth per candidate, which forgets every expansion.
+  std::vector<std::uint64_t> expanded_;
+  std::uint64_t expansionEpoch_ = 0;
 };
 
 /// Convenience: full_reduce a diagram in place. Returns false on timeout.

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -24,6 +25,7 @@ namespace veriqc::zx {
 /// can plant exactly the corruption an auditor claims to detect.
 struct ZXDiagramTestAccess {
   static std::vector<NeighborList>& adjacency(ZXDiagram& g) { return g.adj_; }
+  static std::vector<std::size_t>& degrees(ZXDiagram& g) { return g.degrees_; }
 };
 
 /// Befriended by Simplifier::Worklist: plants membership-stamp corruption.
@@ -408,6 +410,22 @@ TEST(ZxAuditTest, FlagsUnsortedAdjacencyRow) {
   }
   ASSERT_TRUE(corrupted) << "test needs a vertex of degree >= 2";
   EXPECT_TRUE(hasCode(audit::auditDiagram(diagram), "zx.adj.order"));
+}
+
+TEST(ZxAuditTest, FlagsStaleDegree) {
+  auto diagram = bellDiagram();
+  ASSERT_TRUE(audit::auditDiagram(diagram).empty());
+  // The stored degree of a live spider drifts from its (intact) row.
+  const auto spiders = diagram.vertices();
+  const auto spider = std::find_if(
+      spiders.begin(), spiders.end(),
+      [&diagram](const zx::Vertex v) { return !diagram.isBoundary(v); });
+  ASSERT_NE(spider, spiders.end());
+  zx::ZXDiagramTestAccess::degrees(diagram)[*spider] += 1;
+  const auto report = audit::auditDiagram(diagram);
+  EXPECT_TRUE(report.hasErrors());
+  EXPECT_TRUE(hasCode(report, "zx.degree"));
+  EXPECT_FALSE(hasCode(report, "zx.adj.symmetry"));
 }
 
 TEST(ZxAuditTest, FlagsBoundaryPhase) {

@@ -3,6 +3,7 @@
 #include "compile/architecture.hpp"
 #include "compile/decompose.hpp"
 #include "compile/mapper.hpp"
+#include "opt/optimizer.hpp"
 #include "sim/dense.hpp"
 #include "zx/circuit_to_zx.hpp"
 #include "zx/simplify.hpp"
@@ -471,6 +472,26 @@ TEST(ZXIncrementalTest, CompiledReductionsMatchRecordedBaselines) {
   }
 }
 
+TEST(ZXIncrementalTest, OptimizedReductionsMatchRecordedBaselines) {
+  // The paper's optimized flow (decomposed vs optimized), where gadget
+  // pivoting dominates the rule time. Recorded before the pivot rewrites
+  // expanded each neighborhood once and merged each adjacency row once.
+  const char* const expected[] = {
+      "f662,182,121,92,217,8,29 m158,182,121,92,217,8,29 "
+      "r496,182,121,92,217,8,29 s0 h821b9da796acd779",
+      "f641,151,113,89,217,4,35 m158,151,113,89,217,4,35 "
+      "r496,151,113,89,217,4,35 s57 h37f678568b21b082",
+  };
+  const auto original = circuits::mixedReversible(8, 80, 231);
+  const auto g = compile::decomposeToCnot(original);
+  const auto gPrime = opt::optimize(g);
+  EXPECT_EQ(reductionDigest(checkDiagram(g, gPrime)), expected[0])
+      << "equivalent";
+  EXPECT_EQ(reductionDigest(checkDiagram(g, flippedCnot(gPrime, 2002))),
+            expected[1])
+      << "flipped";
+}
+
 TEST(ZXIncrementalTest, CompiledGroverExaminesFarFewerCandidates) {
   // Every pass seeding every live vertex examined 902,882 candidates here;
   // seeding from the changes since each rule's last fixpoint drops that
@@ -485,6 +506,23 @@ TEST(ZXIncrementalTest, CompiledGroverExaminesFarFewerCandidates) {
   }
   EXPECT_EQ(s.stats().total(), 5477U);
   EXPECT_LT(candidates, 200000U);
+}
+
+TEST(ZXIncrementalTest, CompiledGroverQueuesTheRecordedCandidates) {
+  // Recorded before rewrites expanded each neighborhood at most once per
+  // candidate and depth. A skipped expansion may only be one that would
+  // re-queue vertices already pending, so every pass must still examine
+  // exactly the same candidates.
+  const std::size_t expected[kSimplifyRuleCount] = {
+      14978, 16439, 13487, 33323, 12845, 4226, 12762};
+  const auto g = circuits::grover(5, 19);
+  auto d = checkDiagram(g, compiled(g));
+  Simplifier s(d);
+  ASSERT_TRUE(s.fullReduce());
+  for (std::size_t i = 0; i < kSimplifyRuleCount; ++i) {
+    EXPECT_EQ(s.stats().rules[i].candidates, expected[i])
+        << kSimplifyRuleNames[i];
+  }
 }
 
 // Hand-built graph-like diagrams for the read-radius tests: Z spiders with
