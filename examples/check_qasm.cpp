@@ -12,6 +12,7 @@
 /// Exit code: 0 = equivalent, 1 = not equivalent, 2 = undecided, 3 = error.
 #include "check/manager.hpp"
 #include "check/report.hpp"
+#include "numeric_flag.hpp"
 #include "obs/json.hpp"
 #include "obs/phase_timer.hpp"
 #include "qasm/parser.hpp"
@@ -79,21 +80,23 @@ int main(int argc, char** argv) {
   check::Configuration config;
   config.simulationRuns = 16;
   config.timeout = std::chrono::seconds(60);
+  std::chrono::seconds::rep timeoutSeconds = 0;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       method = argv[++i];
-    } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      config.timeout = std::chrono::seconds(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--sims") == 0 && i + 1 < argc) {
-      config.simulationRuns = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--timeout") == 0) {
+      examples::readNumericFlag(i, argc, argv, timeoutSeconds, usage);
+      config.timeout = std::chrono::seconds(timeoutSeconds);
+    } else if (std::strcmp(argv[i], "--sims") == 0) {
+      examples::readNumericFlag(i, argc, argv, config.simulationRuns, usage);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       jsonPath = argv[++i];
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       config.recordTrace = true;
-    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      config.engineRetryLimit = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0 && i + 1 < argc) {
-      config.watchdogMillis = static_cast<std::size_t>(std::atol(argv[++i]));
+    } else if (std::strcmp(argv[i], "--retries") == 0) {
+      examples::readNumericFlag(i, argc, argv, config.engineRetryLimit, usage);
+    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
+      examples::readNumericFlag(i, argc, argv, config.watchdogMillis, usage);
     } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
       config.faultPlan = argv[++i];
     } else {

@@ -10,7 +10,7 @@
 /// Usage: veriqcd [--socket <path>] [--max-active <n>] [--queue <n>]
 ///                [--pool-slots <n>] [--max-memory-mb <n>] [--max-dd-nodes <n>]
 ///                [--max-line-bytes <n>] [--timeout-ms <n>] [--sims <n>]
-///                [--allow-fault-plans] [--no-shared-cache] [--metrics-fd <fd>]
+///                [--allow-fault-plans] [--metrics-fd <fd>]
 ///
 /// Signals: SIGINT/SIGTERM drain-and-cancel (in-flight jobs report verdict
 /// "cancelled", queued jobs are rejected "shutting_down"); SIGUSR1 requests
@@ -18,6 +18,7 @@
 /// (default stderr, or --metrics-fd). A final metrics dump is written at
 /// exit.
 #include "check/result.hpp"
+#include "numeric_flag.hpp"
 #include "obs/json.hpp"
 #include "serve/service.hpp"
 #include "support/mutex.hpp"
@@ -54,7 +55,7 @@ void usage(const char* prog) {
       "usage: %s [--socket <path>] [--max-active <n>] [--queue <n>]\n"
       "          [--pool-slots <n>] [--max-memory-mb <n>] [--max-dd-nodes <n>]\n"
       "          [--max-line-bytes <n>] [--timeout-ms <n>] [--sims <n>]\n"
-      "          [--allow-fault-plans] [--no-shared-cache] [--metrics-fd <fd>]\n"
+      "          [--allow-fault-plans] [--metrics-fd <fd>]\n"
       "reads NDJSON job requests from stdin (or socket clients), writes one\n"
       "veriqc-report/v1 JSON line per job to stdout\n",
       prog);
@@ -234,38 +235,34 @@ int main(int argc, char** argv) {
   std::string socketPath;
   int metricsFd = 2;
 
-  const auto numeric = [&](int& i) -> std::size_t {
-    if (i + 1 >= argc) {
-      usage(argv[0]);
-      std::exit(3);
-    }
-    return static_cast<std::size_t>(std::atoll(argv[++i]));
+  std::chrono::milliseconds::rep timeoutMs = 0;
+  const auto numeric = [&](int& i, auto& out) {
+    examples::readNumericFlag(i, argc, argv, out, usage);
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
       socketPath = argv[++i];
     } else if (std::strcmp(argv[i], "--max-active") == 0) {
-      limits.maxActiveJobs = numeric(i);
+      numeric(i, limits.maxActiveJobs);
     } else if (std::strcmp(argv[i], "--queue") == 0) {
-      limits.maxQueuedJobs = numeric(i);
+      numeric(i, limits.maxQueuedJobs);
     } else if (std::strcmp(argv[i], "--pool-slots") == 0) {
-      limits.poolSlots = numeric(i);
+      numeric(i, limits.poolSlots);
     } else if (std::strcmp(argv[i], "--max-memory-mb") == 0) {
-      limits.maxMemoryMB = numeric(i);
+      numeric(i, limits.maxMemoryMB);
     } else if (std::strcmp(argv[i], "--max-dd-nodes") == 0) {
-      limits.maxDDNodes = numeric(i);
+      numeric(i, limits.maxDDNodes);
     } else if (std::strcmp(argv[i], "--max-line-bytes") == 0) {
-      limits.maxLineBytes = numeric(i);
+      numeric(i, limits.maxLineBytes);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      defaults.timeout = std::chrono::milliseconds(numeric(i));
+      numeric(i, timeoutMs);
+      defaults.timeout = std::chrono::milliseconds(timeoutMs);
     } else if (std::strcmp(argv[i], "--sims") == 0) {
-      defaults.simulationRuns = numeric(i);
+      numeric(i, defaults.simulationRuns);
     } else if (std::strcmp(argv[i], "--allow-fault-plans") == 0) {
       limits.allowFaultPlans = true;
-    } else if (std::strcmp(argv[i], "--no-shared-cache") == 0) {
-      limits.useSharedGateCache = false;
     } else if (std::strcmp(argv[i], "--metrics-fd") == 0) {
-      metricsFd = static_cast<int>(numeric(i));
+      numeric(i, metricsFd);
     } else {
       usage(argv[0]);
       return 3;

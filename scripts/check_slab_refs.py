@@ -65,7 +65,6 @@ SLAB_ALLOCATING = {
     "multiplyVectorNodes",
     "add",
     "conjugateTranspose",
-    "importMatrix",
     "cachedGateDD",
     "buildGateDD",
     "buildSwapDD",

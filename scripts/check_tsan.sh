@@ -9,13 +9,10 @@
 # degradation-ladder retry rounds, the soft watchdog's heartbeat/trip
 # handshake and fault-poisoned task groups, all of which cross thread
 # boundaries. tests/test_serve.cpp runs the veriqcd JobService: concurrent
-# submitting clients, the shared warm gate-cache's epoch publish/lease
-# handshake, shutdown cancelling in-flight jobs, and racing shutdown()
-# callers (the double-join regression). The
-# SharedGateCacheEpochChurn stress (publishers/readers/retirer hammering one
-# cache while leases stay live) and the pool's two wakeup regressions
-# (EnqueueWakesASleepingWorker, WaiterIsWokenByAWorkersCompletion) run here
-# too. Any TSan report fails the run.
+# submitting clients, shutdown cancelling in-flight jobs, and racing
+# shutdown() callers (the double-join regression). The pool's two wakeup
+# regressions (EnqueueWakesASleepingWorker, WaiterIsWokenByAWorkersCompletion)
+# run here too. Any TSan report fails the run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]
 #   ctest-regex: optional -R filter (default: all thread-stress suites)
@@ -31,4 +28,4 @@ cmake --build --preset tsan -j"$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|ImportFaultTest|JobServiceTest}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|JobServiceTest}"

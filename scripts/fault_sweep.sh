@@ -5,9 +5,8 @@
 # can reach — count-based and probabilistic plans — and asserts the
 # failure-containment contract: no crash, no leak, and never a wrong
 # definitive verdict on a known-equivalent pair. It then runs the dedicated
-# fault test suite under the same sanitizers, which also asserts the two
-# points whose firing a check_qasm run report cannot show: dd.import and
-# check.report.
+# fault test suite under the same sanitizers, which also asserts the one
+# point whose firing a check_qasm run report cannot show: check.report.
 #
 # Exit-code contract per sweep case (inputs are equivalent by construction):
 #   0 = equivalent            OK (fault absorbed or retried away)
@@ -82,10 +81,9 @@ EOF
 # or ->".
 # Every injection point appears at least once with its firing asserted from
 # the run report; retries are enabled so the degradation ladder gets to
-# convert engine failures back into verdicts. Two points are asserted by the
+# convert engine failures back into verdicts. One point is asserted by the
 # fault test suite (FaultSweepTest) instead: check.report kills the report
-# itself, and dd.import only runs when a package adopts a warm gate-DD
-# source, which check_qasm never sets up.
+# itself.
 cases=(
   "slab-grow|qft|dd|dd.slab_grow:after=5:times=2|0 2|dd.slab_grow"
   "unique-rebuild|deep|dd|dd.unique_rebuild:times=1|0 2|dd.unique_rebuild"

@@ -12,7 +12,10 @@
 #     never a crash or a dropped line;
 #   - the --metrics-fd dump is valid JSON whose serve/ counters add up
 #     (submitted = admitted + rejected), and SIGUSR1 produces a mid-run
-#     metrics dump without disturbing the job stream.
+#     metrics dump without disturbing the job stream;
+#   - a numeric flag that is not a whole, non-negative decimal integer, or
+#     an unknown flag, stops veriqcd (and check_qasm) with the usage and
+#     exit code 3 before any job runs.
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -48,6 +51,29 @@ include "qelib1.inc";
 qreg q[2];
 h q[0];
 EOF
+
+# --- malformed flags ---------------------------------------------------------
+
+# Each command gets one runnable job on stdin; it must exit 3 without
+# printing a single report or verdict line.
+echo "{\"id\":\"flag\",\"file1\":\"$WORK/bell_a.qasm\",\"file2\":\"$WORK/bell_b.qasm\"}" >"$WORK/one_job.ndjson"
+expect_usage_exit() {
+  local status=0
+  "$@" <"$WORK/one_job.ndjson" >"$WORK/flag.out" 2>"$WORK/flag.err" || status=$?
+  if [[ $status -ne 3 || -s "$WORK/flag.out" ]]; then
+    echo "error: '$*' exited $status (expected 3 and no stdout); output:" >&2
+    cat "$WORK/flag.out" "$WORK/flag.err" >&2
+    exit 1
+  fi
+}
+expect_usage_exit "$VERIQCD" --max-active -1
+expect_usage_exit "$VERIQCD" --pool-slots -1
+expect_usage_exit "$VERIQCD" --timeout-ms abc
+expect_usage_exit "$VERIQCD" --max-active 2x
+expect_usage_exit "$VERIQCD" --no-shared-cache
+expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
+  --timeout 10 --sims -1
+echo "malformed flags OK: 6 commands stopped with usage exit 3"
 
 # --- batch over stdin --------------------------------------------------------
 
@@ -204,4 +230,4 @@ EOF
 
 # One-line coverage summary: jobs pushed through each transport and how many
 # report lines survived the validateRunReport schema gate.
-echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 2 metrics dumps checked)"
+echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 2 metrics dumps checked, 6 malformed flags rejected)"

@@ -70,16 +70,6 @@ dd::PackageConfig packageConfigFor(const Configuration& config) {
   return packageConfig;
 }
 
-/// Best-effort warm-cache adoption: when the caller published a gate-DD
-/// snapshot of matching shape (veriqcd's SharedGateCache), this package's
-/// gate-cache misses import from it instead of rebuilding. A shape mismatch
-/// silently leaves the package cold.
-void adoptWarmSource(dd::Package& package, const Configuration& config) {
-  if (config.warmGateSource != nullptr) {
-    package.adoptWarmGateSource(config.warmGateSource);
-  }
-}
-
 /// Independent seed for stimulus `run` (splitmix64 mix of seed and index):
 /// makes the generated stimulus a function of (seed, run) alone, independent
 /// of which worker draws it and in which order.
@@ -280,7 +270,6 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
                       packageConfigFor(config));
-  adoptWarmSource(package, config);
   audit::DDCheckpoint checkpoint(config.auditLevel,
                                  "dd-construction checkpoint");
 
@@ -368,7 +357,6 @@ Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   const auto [a, b] = prepare(c1, c2, config);
   dd::Package package(a.numQubits(), config.numericalTolerance,
                       packageConfigFor(config));
-  adoptWarmSource(package, config);
 
   TaskSide right(a, /*invert=*/true); // G^dagger, multiplied from the right
   TaskSide left(b, /*invert=*/false); // G', multiplied from the left
@@ -523,7 +511,6 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
   const auto [a, b] = alignCircuits(original, compiled);
   dd::Package package(a.numQubits(), flowConfig.numericalTolerance,
                       packageConfigFor(flowConfig));
-  adoptWarmSource(package, flowConfig);
   TaskSide right(a, /*invert=*/true);
   TaskSide left(b, /*invert=*/false);
   Accumulator acc(package, flowConfig.recordTrace);
@@ -657,7 +644,6 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
       // The DD package is documented single-threaded: one per worker.
       dd::Package package(a.numQubits(), config.numericalTolerance,
                           packageConfigFor(config));
-      adoptWarmSource(package, config);
       // Per-worker checkpoint: packages are thread-local, so the audit walks
       // only structures owned by this thread.
       audit::DDCheckpoint checkpoint(config.auditLevel,

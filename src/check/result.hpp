@@ -10,12 +10,7 @@
 #include <chrono>
 #include <vector>
 #include <cstdint>
-#include <memory>
 #include <string>
-
-namespace veriqc::dd {
-class Package;
-} // namespace veriqc::dd
 
 namespace veriqc::check {
 
@@ -142,12 +137,6 @@ struct Configuration {
   /// directly too): start DD garbage collection at a small initial
   /// threshold so packages trade throughput for a tighter live-node band.
   bool aggressiveGC = false;
-  /// Immutable gate-DD snapshot adopted by every package the engines
-  /// create whose shape (qubit count + tolerance) matches: cache misses
-  /// consult the snapshot before rebuilding. veriqcd sets this from its
-  /// SharedGateCache so concurrent jobs reuse each other's constructions;
-  /// null (the default) leaves every package cold.
-  std::shared_ptr<const dd::Package> warmGateSource;
 };
 
 /// Scheduler statistics of one ZX rule family, as recorded by the

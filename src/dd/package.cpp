@@ -185,19 +185,7 @@ mEdge Package::cachedGateDD(GateKey& key, Builder&& build) {
   ++gateKeyDepth_;
   mEdge result;
   try {
-    if (warmGateSource_ != nullptr) {
-      if (const auto warm = warmGateSource_->gateCache_.find(key);
-          warm != warmGateSource_->gateCache_.end()) {
-        // Prebuilt in the shared snapshot: import beats rebuilding because
-        // the source diagram is already canonical and maximally shared.
-        result = importMatrix(*warmGateSource_, warm->second);
-        ++gateCacheWarmHits_;
-      } else {
-        result = build(key);
-      }
-    } else {
-      result = build(key);
-    }
+    result = build(key);
     --gateKeyDepth_;
   } catch (...) {
     --gateKeyDepth_;
@@ -823,69 +811,6 @@ std::size_t Package::garbageCollect(const bool force) {
   return collected;
 }
 
-mEdge Package::importMatrix(const Package& src, const mEdge& e) {
-  // Memo: source handle -> canonical edge in *this* equivalent to the source
-  // node with an implicit unit top weight. Normalization may fold a factor
-  // into the returned weight, so the memo stores full edges, not handles.
-  std::unordered_map<NodeIndex, mEdge> memo;
-  const std::function<mEdge(NodeIndex)> copyNode =
-      [&](const NodeIndex n) -> mEdge {
-    if (n == kTerminalIndex) {
-      return oneMatrixScalar();
-    }
-    if (const auto it = memo.find(n); it != memo.end()) {
-      return it->second;
-    }
-    // Per-copied-node injection point: an `after=N` plan aborts the handover
-    // mid-walk. The partially imported nodes carry zero references and are
-    // reclaimed by this package's next garbage collection; `src` is read
-    // only, so the source package's invariants cannot be disturbed.
-    VERIQC_FAULT_POINT(fault::points::kDDImport, fault::FaultKind::BadAlloc);
-    std::array<mEdge, 4> children{};
-    for (std::size_t i = 0; i < 4; ++i) {
-      const auto child = src.matrixChild(n, i);
-      const auto imported = copyNode(child.n);
-      children[i] = {imported.n, child.w * imported.w};
-    }
-    const auto made = makeMatrixNode(levelOfIndex(n), children);
-    memo.emplace(n, made);
-    return made;
-  };
-  const auto imported = copyNode(e.n);
-  return {imported.n, e.w * imported.w};
-}
-
-bool Package::adoptWarmGateSource(std::shared_ptr<const Package> src) noexcept {
-  if (src == nullptr || src->nqubits_ != nqubits_ ||
-      src->reals_.tolerance() != reals_.tolerance()) {
-    // A differently-quantized source would make GateKey comparisons
-    // meaningless; a differently-sized one holds diagrams of another shape.
-    return false;
-  }
-  warmGateSource_ = std::move(src);
-  return true;
-}
-
-void Package::exportGateCacheInto(Package& dst) const {
-  if (dst.nqubits_ != nqubits_ ||
-      dst.reals_.tolerance() != reals_.tolerance()) {
-    throw std::invalid_argument(
-        "exportGateCacheInto: qubit count or tolerance mismatch");
-  }
-  for (const auto& [key, edge] : gateCache_) {
-    if (dst.gateCache_.contains(key)) {
-      continue;
-    }
-    if (dst.gateCache_.size() >= dst.gateCacheMaxEntries_) {
-      break; // never force the destination to flush what it already holds
-    }
-    const mEdge imported = dst.importMatrix(*this, edge);
-    dst.incRef(imported);
-    dst.gateCache_.emplace(key, imported);
-    ++dst.gateCacheStats_.inserts;
-  }
-}
-
 std::size_t Package::release(const mEdge& e) {
   const std::size_t removed = releaseNode(e.n);
   if (removed > 0) {
@@ -1056,7 +981,6 @@ PackageStats Package::stats() const {
   s.innerProduct = innerProductTable_.stats();
   s.gateCache = gateCacheStats_;
   s.gateCacheEntries = gateCache_.size();
-  s.gateCacheWarmHits = gateCacheWarmHits_;
   return s;
 }
 
@@ -1080,8 +1004,6 @@ void Package::exportCounters(obs::CounterRegistry& registry,
   cache("trace", s.trace);
   cache("inner_product", s.innerProduct);
   cache("gate_cache", s.gateCache);
-  registry.add(prefix + "gate_cache.warm_hits",
-               static_cast<double>(s.gateCacheWarmHits));
   registry.add(prefix + "nodes.allocations",
                static_cast<double>(s.allocations));
   registry.add(prefix + "nodes.released",

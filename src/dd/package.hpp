@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -83,9 +82,6 @@ struct PackageStats {
   CacheStats innerProduct;
   CacheStats gateCache;          ///< the gate-DD construction cache
   std::size_t gateCacheEntries = 0; ///< currently cached gate DDs
-  /// Gate-cache misses satisfied by importing from a warm source package
-  /// (adoptWarmGateSource) instead of rebuilding from scratch.
-  std::size_t gateCacheWarmHits = 0;
 
   /// Sum over all seven compute tables (excludes the gate-DD cache).
   [[nodiscard]] CacheStats computeTotal() const noexcept {
@@ -219,32 +215,6 @@ public:
   /// pin live-node accounting (stats, GC threshold adaptation and the node
   /// budget) until the next GC sweep. Returns the number of reclaimed nodes.
   std::size_t release(const mEdge& e);
-
-  /// Deep-copy a matrix diagram owned by another package into this one,
-  /// re-canonicalizing every node through this package's unique tables
-  /// (shared subdiagrams stay shared via a source-handle memo). Warm
-  /// gate-cache adoption and exportGateCacheInto use it to move gate DDs
-  /// between packages. `src` is only read; the caller must guarantee no
-  /// mutating operation runs on it concurrently.
-  mEdge importMatrix(const Package& src, const mEdge& e);
-
-  /// Adopt a warm gate-DD source: on a gate-cache miss, look the key up in
-  /// `src`'s cache first and import the prebuilt diagram instead of
-  /// reconstructing it. `src` must be immutable for as long as any adopter
-  /// holds it (the shared_ptr keeps it alive past the donor's teardown);
-  /// veriqcd publishes per-shape snapshot packages this way so concurrent
-  /// jobs reuse each other's gate constructions. Returns false (and adopts
-  /// nothing) when the source is null or its qubit count or interning
-  /// tolerance differs — keys quantized under another tolerance would not
-  /// be comparable.
-  bool adoptWarmGateSource(std::shared_ptr<const Package> src) noexcept;
-
-  /// Deep-copy every gate-DD cache entry of this package into `dst`'s cache
-  /// (skipping keys `dst` already holds). The publishing half of the warm
-  /// cache: a job's private package donates its constructions into a shared
-  /// snapshot before teardown. \throws std::invalid_argument on a qubit
-  /// count or tolerance mismatch.
-  void exportGateCacheInto(Package& dst) const;
 
   /// Process-wide peak resident set size in kilobytes (0 if unavailable).
   [[nodiscard]] static std::size_t peakResidentSetKB() noexcept;
@@ -394,7 +364,6 @@ private:
   std::unordered_map<GateKey, mEdge, GateKeyHash> gateCache_;
   std::size_t gateCacheMaxEntries_;
   CacheStats gateCacheStats_;
-  std::size_t gateCacheWarmHits_ = 0;
   /// Depth-indexed pool of reused lookup keys: cache hits (the
   /// per-applied-gate fast path) perform no heap allocation because
   /// controls.assign reuses the slot's prior capacity. Each nesting level of
@@ -403,10 +372,6 @@ private:
   /// outer GateKey& stable when a deeper first use grows the pool.
   std::deque<GateKey> gateKeyScratch_;
   std::size_t gateKeyDepth_ = 0;
-
-  /// Immutable package whose gate cache seeds misses in this one (may be
-  /// null). The shared_ptr pins the source beyond its donor job's lifetime.
-  std::shared_ptr<const Package> warmGateSource_;
 
   std::vector<mEdge> idTable_; ///< idTable_[k] = identity on levels 0..k
 

@@ -66,16 +66,15 @@ inline constexpr const char* kDDUniqueRebuild = "dd.unique_rebuild";
 inline constexpr const char* kDDRealGrow = "dd.real_grow";
 inline constexpr const char* kDDComputeAlloc = "dd.compute_alloc";
 inline constexpr const char* kDDGc = "dd.gc";
-inline constexpr const char* kDDImport = "dd.import";
 inline constexpr const char* kZXDrain = "zx.drain";
 inline constexpr const char* kPoolTaskStart = "pool.task_start";
 inline constexpr const char* kCheckReport = "check.report";
 } // namespace points
 
-inline constexpr std::array<const char*, 9> kKnownPoints = {
-    points::kDDSlabGrow,    points::kDDUniqueRebuild, points::kDDRealGrow,
-    points::kDDComputeAlloc, points::kDDGc,           points::kDDImport,
-    points::kZXDrain,       points::kPoolTaskStart,   points::kCheckReport,
+inline constexpr std::array<const char*, 8> kKnownPoints = {
+    points::kDDSlabGrow, points::kDDUniqueRebuild, points::kDDRealGrow,
+    points::kDDComputeAlloc, points::kDDGc, points::kZXDrain,
+    points::kPoolTaskStart, points::kCheckReport,
 };
 
 class Registry;

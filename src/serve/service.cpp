@@ -2,13 +2,13 @@
 
 #include "check/manager.hpp"
 #include "check/report.hpp"
+#include "dd/package.hpp"
 #include "fault/fault.hpp"
 #include "ir/circuit.hpp"
 #include "qasm/parser.hpp"
 #include "qasm/revlib.hpp"
 
 #include <algorithm>
-#include <tuple>
 #include <utility>
 
 namespace veriqc::serve {
@@ -184,60 +184,12 @@ void JobService::workerLoop(const std::size_t slot) {
   }
 }
 
-std::shared_ptr<const dd::Package>
-JobService::warmSourceFor(const QuantumCircuit& c1, const QuantumCircuit& c2,
-                          const check::Configuration& config) {
-  const std::size_t nqubits = std::max(c1.numQubits(), c2.numQubits());
-  if (nqubits == 0) {
-    return nullptr;
-  }
-  const double tolerance = config.numericalTolerance;
-  auto snapshot = sharedCache_.acquire(nqubits, tolerance);
-  // Best-effort top-up: replay this job's gate set into a donor package
-  // (construction only — no multiplications, so this is cheap relative to
-  // the check) and publish whatever the shape's snapshot was missing. Any
-  // failure leaves the job running cold; the check itself is unaffected.
-  try {
-    dd::Package donor(nqubits, tolerance);
-    if (snapshot != nullptr) {
-      donor.adoptWarmGateSource(snapshot);
-    }
-    const auto feed = [&donor](const QuantumCircuit& circuit) {
-      for (const auto& op : circuit.ops()) {
-        try {
-          std::ignore = donor.makeOperationDD(op);
-        } catch (const std::exception&) {
-          // Unsupported op for direct construction — the engines have their
-          // own handling; it simply stays uncached.
-        }
-      }
-    };
-    feed(c1);
-    feed(c2);
-    // inserts counts every local cache fill, warm hits the subset imported
-    // from the snapshot — publish only when something genuinely new exists.
-    const auto donorStats = donor.stats();
-    if (donorStats.gateCache.inserts > donorStats.gateCacheWarmHits &&
-        sharedCache_.publish(donor) != 0) {
-      snapshot = sharedCache_.acquire(nqubits, tolerance);
-      const support::LockGuard lock(metricsMutex_);
-      metrics_.add("serve/shared_cache.publishes", 1.0);
-    }
-  } catch (const std::exception&) {
-    // Donor construction failed (e.g. allocation pressure): run cold.
-  }
-  return snapshot;
-}
-
 void JobService::runJob(const std::size_t slot, JobRequest request) {
   auto& config = request.config;
   obs::Json report;
   try {
     const auto c1 = loadCircuit(request.file1);
     const auto c2 = loadCircuit(request.file2);
-    if (limits_.useSharedGateCache) {
-      config.warmGateSource = warmSourceFor(c1, c2, config);
-    }
     check::EquivalenceCheckingManager manager(c1, c2, config);
     manager.useTaskPool(&pool_);
     {
@@ -287,9 +239,6 @@ void JobService::runJob(const std::size_t slot, JobRequest request) {
                      check::criterionKey(failure.criterion),
                  1.0);
   }
-  // Drop the lease before the report goes out: when this was the last
-  // holder of a retired epoch, the snapshot dies here, on the worker.
-  config.warmGateSource.reset();
   emitReport(request, std::move(report));
 }
 
@@ -391,8 +340,6 @@ obs::Json JobService::metricsJson() const {
     const support::LockGuard lock(metricsMutex_);
     snapshot.merge(metrics_);
   }
-  snapshot.max("serve/shared_cache.entries",
-               static_cast<double>(sharedCache_.totalEntries()));
   auto j = obs::Json::object();
   j["schema"] = "veriqc-metrics/v1";
   j["counters"] = check::serializeCounters(snapshot);

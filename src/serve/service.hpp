@@ -6,8 +6,9 @@
 /// ingress both feed submitLine(). The lifecycle of one job:
 ///
 ///   submitLine -> parse (strict protocol) -> admission control -> queue
-///     -> worker: parse circuits, adopt warm gate cache, run a per-job
-///        EquivalenceCheckingManager on the shared TaskPool
+///     -> worker: parse circuits, run a per-job EquivalenceCheckingManager
+///        on the shared TaskPool (every check builds its gate DDs in its
+///        own packages)
 ///     -> report sink (one schema-valid report line, job object attached)
 ///
 /// Admission control rejects — with a structured reason, never by OOMing —
@@ -23,9 +24,6 @@
 ///    of per-job pools churning threads. The one remaining exception is a
 ///    job with simulationThreads > 1: its simulation check builds a private
 ///    worker pool for its stimuli, spawning threads outside the shared one;
-///  - one SharedGateCache: immutable per-shape gate-DD snapshots, published
-///    copy-on-write and leased via shared_ptr (the epoch scheme) — a job's
-///    package teardown can never invalidate a concurrent job's lease;
 ///  - one CounterRegistry: per-job counters merge into the daemon metrics
 ///    (metricsJson), alongside serve/-prefixed service counters.
 ///
@@ -37,7 +35,6 @@
 
 #include "check/result.hpp"
 #include "check/task_pool.hpp"
-#include "dd/shared_cache.hpp"
 #include "obs/counters.hpp"
 #include "obs/json.hpp"
 #include "serve/job.hpp"
@@ -46,16 +43,11 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
-
-namespace veriqc {
-class QuantumCircuit;
-} // namespace veriqc
 
 namespace veriqc::check {
 class EquivalenceCheckingManager;
@@ -84,7 +76,9 @@ struct ServiceLimits {
   std::size_t maxLineBytes = 1U << 20U;
   /// Permit job-scoped fault plans (tests); rejected otherwise.
   bool allowFaultPlans = false;
-  /// Share gate-DD constructions across same-shape jobs.
+  /// No effect, and nothing reads it: jobs share no gate DDs. Kept only
+  /// because bench/e2e/serve.cpp assigns it; it goes with the next change
+  /// to that benchmark.
   bool useSharedGateCache = true;
 };
 
@@ -137,11 +131,6 @@ public:
 
   [[nodiscard]] ServiceStats stats() const;
 
-  /// The shared snapshot cache (tests inspect epochs/entries).
-  [[nodiscard]] dd::SharedGateCache& sharedGateCache() noexcept {
-    return sharedCache_;
-  }
-
 private:
   bool admitAndQueue(JobRequest&& request);
   void workerLoop(std::size_t slot);
@@ -149,18 +138,12 @@ private:
   void emitRejection(const JobRequest& request, RejectReason reason,
                      const std::string& detail);
   void emitReport(const JobRequest& request, obs::Json report);
-  /// Build (or extend) the shape's warm snapshot from this job's gates and
-  /// return the lease the job's packages adopt.
-  std::shared_ptr<const dd::Package>
-  warmSourceFor(const QuantumCircuit& c1, const QuantumCircuit& c2,
-                const check::Configuration& config);
 
   ServiceLimits limits_;
   check::Configuration defaults_;
   ReportSink sink_;
 
   check::TaskPool pool_;
-  dd::SharedGateCache sharedCache_;
 
   // Lock order (outermost first): shutdownMutex_ -> mutex_ -> metricsMutex_.
   // Never acquire a mutex earlier in this list while holding a later one.

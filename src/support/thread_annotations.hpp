@@ -3,8 +3,8 @@
 ///        contracts.
 ///
 /// Every mutex-protected structure of the concurrent layers (TaskPool and
-/// the TaskGroups its one mutex guards, SoftWatchdog, SharedGateCache,
-/// JobService, PhaseTimer, fault::Registry) declares which capability
+/// the TaskGroups its one mutex guards, SoftWatchdog, JobService,
+/// PhaseTimer, fault::Registry) declares which capability
 /// guards which field (`VERIQC_GUARDED_BY`) and which functions demand or
 /// acquire capabilities (`VERIQC_REQUIRES`, `VERIQC_ACQUIRE`/
 /// `VERIQC_RELEASE`, `VERIQC_EXCLUDES`). Under Clang the

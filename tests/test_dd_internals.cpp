@@ -372,47 +372,6 @@ TEST(PackageTest, NestedGateBuildsDoNotPoisonTheGateCache) {
   EXPECT_EQ(cxAgain.w, cx.w);
 }
 
-TEST(PackageTest, WarmGateSourceImportsInsteadOfRebuilding) {
-  auto donor = std::make_shared<Package>(2);
-  const auto donorH = donor->makeOperationDD(Operation(OpType::H, {}, {0}));
-  (void)donor->makeOperationDD(Operation(OpType::X, {0}, {1}));
-
-  Package p(2);
-  ASSERT_TRUE(p.adoptWarmGateSource(donor));
-  const auto h = p.makeOperationDD(Operation(OpType::H, {}, {0}));
-  EXPECT_EQ(p.stats().gateCacheWarmHits, 1U);
-  // The imported edge is canonical in the adopter and matches a rebuild.
-  Package fresh(2);
-  const auto rebuilt = fresh.makeOperationDD(Operation(OpType::H, {}, {0}));
-  EXPECT_EQ(h.w, rebuilt.w);
-  EXPECT_EQ(donorH.w, h.w);
-  // A second request is a plain (local) cache hit, not another import.
-  (void)p.makeOperationDD(Operation(OpType::H, {}, {0}));
-  EXPECT_EQ(p.stats().gateCacheWarmHits, 1U);
-
-  // Shape mismatches are refused: different qubit count...
-  Package wide(3);
-  EXPECT_FALSE(wide.adoptWarmGateSource(donor));
-  // ... different tolerance, and null.
-  Package loose(2, RealTable::kDefaultTolerance * 2);
-  EXPECT_FALSE(loose.adoptWarmGateSource(donor));
-  EXPECT_FALSE(p.adoptWarmGateSource(nullptr));
-}
-
-TEST(PackageTest, ExportGateCacheSeedsAnotherPackage) {
-  Package src(2);
-  (void)src.makeOperationDD(Operation(OpType::H, {}, {0}));
-  (void)src.makeOperationDD(Operation(OpType::S, {}, {1}));
-  Package dst(2);
-  src.exportGateCacheInto(dst);
-  const auto before = dst.stats().gateCache;
-  (void)dst.makeOperationDD(Operation(OpType::H, {}, {0}));
-  const auto after = dst.stats().gateCache;
-  EXPECT_EQ(after.hits, before.hits + 1);
-  Package mismatched(3);
-  EXPECT_THROW(src.exportGateCacheInto(mismatched), std::invalid_argument);
-}
-
 TEST(PackageTest, TinyComputeTablesRemainCorrect) {
   // Shrunken tables make collisions the common case; results must not change.
   PackageConfig config;

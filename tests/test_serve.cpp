@@ -1,8 +1,7 @@
 /// Protocol, admission-control and lifecycle tests for the veriqcd job
 /// service: strict request parsing, structured rejections, the one-line-in /
-/// one-report-out invariant under torture input, concurrent clients, the
-/// shared warm gate cache, shutdown-mid-job accounting, and the 50-job
-/// mixed-batch acceptance run.
+/// one-report-out invariant under torture input, concurrent clients,
+/// shutdown-mid-job accounting, and the 50-job mixed-batch acceptance run.
 #include "check/report.hpp"
 #include "check/result.hpp"
 #include "fault/fault.hpp"
@@ -368,7 +367,6 @@ TEST(JobServiceTest, FaultPlansAreForbiddenUnlessEnabled) {
 TEST(JobServiceTest, JobScopedFaultPlansDoNotLeakIntoTheNextJob) {
   ServiceLimits limits;
   limits.allowFaultPlans = true;
-  limits.useSharedGateCache = false;
   Capture capture;
   {
     JobService service(limits, quickDefaults(), capture.sink());
@@ -406,10 +404,8 @@ TEST(JobServiceTest, StaleEnvironmentFaultPlanIsDisarmedByTheService) {
 // --- lifecycle ---------------------------------------------------------------
 
 TEST(JobServiceTest, ShutdownMidJobRecordsCancelledAndRejectsTheQueue) {
-  ServiceLimits limits;
-  limits.useSharedGateCache = false; // keep the heavy job's start cheap
   Capture capture;
-  JobService service(limits, quickDefaults(), capture.sink());
+  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
   for (int i = 0; i < 6; ++i) {
     EXPECT_TRUE(service.submitLine(jobLine("slow-" + std::to_string(i),
                                            heavyCircuit(), heavyCircuit())));
@@ -459,10 +455,8 @@ TEST(JobServiceTest, ConcurrentShutdownCallsDoNotDoubleJoin) {
   // behaviour. shutdown() is now serialized end to end under its own mutex,
   // so every caller (including the destructor, which runs last) must return
   // cleanly no matter how many race.
-  ServiceLimits limits;
-  limits.useSharedGateCache = false;
   Capture capture;
-  JobService service(limits, quickDefaults(), capture.sink());
+  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
   for (int i = 0; i < 4; ++i) {
     service.submitLine(
         jobLine("racy-" + std::to_string(i), heavyCircuit(), heavyCircuit()));
@@ -507,36 +501,6 @@ TEST(JobServiceTest, UnreadableCircuitFilesYieldAnEngineErrorReport) {
   EXPECT_TRUE(check::validateRunReport(report).empty());
   EXPECT_EQ(verdictOf(report), "engine_error");
   EXPECT_TRUE(jobObject(report).at("admitted").asBool());
-}
-
-// --- shared warm gate cache --------------------------------------------------
-
-TEST(JobServiceTest, SecondJobOfAShapeRunsWarm) {
-  Capture capture;
-  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
-  const double tolerance = quickDefaults().numericalTolerance;
-  EXPECT_TRUE(service.submitLine(jobLine("cold", bellA(), bellB())));
-  service.drain();
-  EXPECT_GT(service.sharedGateCache().totalEntries(), 0U);
-  const auto epochAfterFirst = service.sharedGateCache().epoch(2, tolerance);
-  EXPECT_GT(epochAfterFirst, 0U);
-  EXPECT_TRUE(service.submitLine(jobLine("warm", bellA(), bellB())));
-  service.drain();
-  // The same gate set publishes nothing new the second time around.
-  EXPECT_EQ(service.sharedGateCache().epoch(2, tolerance), epochAfterFirst);
-  std::map<std::string, Json> byId;
-  for (const auto& [id, report] : capture.reports()) {
-    byId.emplace(id, report);
-  }
-  const auto warmHits = [](const Json& report) {
-    const auto* hits =
-        report.at("counters").find("dd.gate_cache.warm_hits");
-    return hits == nullptr ? 0.0 : hits->asDouble();
-  };
-  EXPECT_GT(warmHits(byId.at("warm")), 0.0);
-  // Both jobs agree on the verdict — shared state never changes results.
-  EXPECT_EQ(verdictOf(byId.at("cold")), "equivalent");
-  EXPECT_EQ(verdictOf(byId.at("warm")), "equivalent");
 }
 
 // --- concurrency and the acceptance batch ------------------------------------
