@@ -86,7 +86,15 @@ int main(int argc, char** argv) {
       method = argv[++i];
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
       examples::readNumericFlag(i, argc, argv, timeoutSeconds, usage);
-      config.timeout = std::chrono::seconds(timeoutSeconds);
+      // Saturate: seconds past the range of milliseconds overflow on
+      // conversion.
+      constexpr auto kMaxSeconds =
+          std::chrono::duration_cast<std::chrono::seconds>(
+              std::chrono::milliseconds::max())
+              .count();
+      config.timeout = timeoutSeconds >= kMaxSeconds
+                           ? std::chrono::milliseconds::max()
+                           : std::chrono::seconds(timeoutSeconds);
     } else if (std::strcmp(argv[i], "--sims") == 0) {
       examples::readNumericFlag(i, argc, argv, config.simulationRuns, usage);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {

@@ -153,7 +153,7 @@ AuditReport auditDiagram(const zx::ZXDiagram& diagram,
 AuditReport auditWorklist(const zx::Simplifier& simplifier) {
   AuditReport report;
   for (auto& issue : simplifier.worklist().checkInvariant()) {
-    report.add(AuditSeverity::Error, "zx.worklist.stamp", std::move(issue),
+    report.add(AuditSeverity::Error, "zx.worklist.sweep", std::move(issue),
                "worklist");
   }
   for (auto& issue : simplifier.changeMask().checkInvariant()) {

@@ -4,8 +4,9 @@
 /// The rewrite engine assumes an undirected multigraph stored as sorted
 /// adjacency rows with a matching stored degree per vertex, boundary
 /// vertices of degree exactly 1 carrying no phase, phases in PiRational
-/// normal form, a worklist whose membership stamps agree with its two sweep
-/// heaps, and a change mask whose vertex list names exactly the vertices
+/// normal form, a worklist whose two sweep bitsets are disjoint, hold no
+/// current-sweep vertex at or below the scan position and match their
+/// counts, and a change mask whose vertex list names exactly the vertices
 /// with a nonzero mask. These auditors re-derive each property.
 ///
 /// Finding codes:
@@ -18,7 +19,7 @@
 ///   zx.boundary.phase   boundary vertex carrying a nonzero phase
 ///   zx.boundary.io      inputs/outputs list inconsistent with the diagram
 ///   zx.phase.form       phase not in PiRational normal form
-///   zx.worklist.stamp   worklist membership-stamp inconsistency
+///   zx.worklist.sweep   worklist sweep bitsets, position or counts disagree
 ///   zx.worklist.mask    change-mask byte/list inconsistency
 #pragma once
 
@@ -35,7 +36,7 @@ namespace veriqc::audit {
 [[nodiscard]] AuditReport auditDiagram(const zx::ZXDiagram& diagram,
                                        bool boundariesFinal = true);
 
-/// Audits the membership-stamp consistency of a simplifier's worklist and
+/// Audits the sweep consistency of a simplifier's worklist and
 /// the byte/list consistency of its change mask.
 [[nodiscard]] AuditReport auditWorklist(const zx::Simplifier& simplifier);
 

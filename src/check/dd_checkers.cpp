@@ -29,14 +29,6 @@ double secondsSince(const Clock::time_point start) {
 /// without a per-gate std::function call.
 constexpr std::size_t kStopPollStride = 16;
 
-/// The engine's own view of the configured deadline, measured from its own
-/// start. Tracking it locally lets an early stop be attributed correctly.
-Clock::time_point localDeadline(const Configuration& config,
-                                const Clock::time_point start) {
-  return config.timeout.count() > 0 ? start + config.timeout
-                                    : Clock::time_point::max();
-}
-
 /// Attribute an early stop (the discipline zxCheck established in PR 2):
 /// past the local deadline it is a Timeout; before it, the only other source
 /// of a tripped stop token is a sibling engine's definitive verdict —
@@ -264,7 +256,7 @@ Result denseCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
 Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                            const Configuration& config, const StopToken& stop) {
   const auto start = Clock::now();
-  const auto deadline = localDeadline(config, start);
+  const auto deadline = deadlineFor(config, start);
   Result result;
   result.method = "dd-construction";
   const auto [a, b] = prepare(c1, c2, config);
@@ -351,7 +343,7 @@ Result ddConstructionCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
 Result ddAlternatingCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                           const Configuration& config, const StopToken& stop) {
   const auto start = Clock::now();
-  const auto deadline = localDeadline(config, start);
+  const auto deadline = deadlineFor(config, start);
   Result result;
   result.method = "dd-alternating(" + toString(config.oracle) + ")";
   const auto [a, b] = prepare(c1, c2, config);
@@ -489,7 +481,7 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
                               const Configuration& config,
                               const StopToken& stop) {
   const auto start = Clock::now();
-  const auto deadline = localDeadline(config, start);
+  const auto deadline = deadlineFor(config, start);
   Result result;
   result.method = "dd-alternating(compilation-flow)";
   if (expansionCounts.size() != original.size()) {
@@ -607,7 +599,7 @@ Result ddCompilationFlowCheck(const QuantumCircuit& original,
 Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
                          const Configuration& config, const StopToken& stop) {
   const auto start = Clock::now();
-  const auto deadline = localDeadline(config, start);
+  const auto deadline = deadlineFor(config, start);
   Result result;
   result.method = "dd-simulation(" + toString(config.stimuliKind) + ")";
   const auto [a, b] = alignCircuits(c1, c2);

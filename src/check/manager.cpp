@@ -202,9 +202,7 @@ Result EquivalenceCheckingManager::run() {
   // run caused, so under a multi-job daemon a small job no longer inherits
   // the largest job's process-wide high-water mark.
   const auto rssBaselineKB = dd::Package::peakResidentSetKB();
-  const auto deadline = config_.timeout.count() > 0
-                            ? start + config_.timeout
-                            : Clock::time_point::max();
+  const auto deadline = deadlineFor(config_, start);
   std::atomic<bool> cancel{false};
   if (externalCancel_.load(std::memory_order_acquire)) {
     cancel.store(true, std::memory_order_release);

@@ -31,6 +31,20 @@ std::string toString(const EquivalenceCriterion criterion) {
   return "unknown";
 }
 
+std::chrono::steady_clock::time_point
+deadlineFor(const Configuration& config,
+            const std::chrono::steady_clock::time_point start) {
+  using TimePoint = std::chrono::steady_clock::time_point;
+  // Compare in milliseconds: converting the timeout to the clock's
+  // nanoseconds first could itself overflow.
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      TimePoint::max() - start);
+  if (config.timeout.count() <= 0 || config.timeout >= room) {
+    return TimePoint::max();
+  }
+  return start + config.timeout;
+}
+
 std::string toString(const OracleStrategy strategy) {
   switch (strategy) {
   case OracleStrategy::Naive:

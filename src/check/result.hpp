@@ -139,6 +139,14 @@ struct Configuration {
   bool aggressiveGC = false;
 };
 
+/// When a run that started at `start` must stop under `config.timeout`:
+/// time_point::max() when the timeout is zero (unlimited), and also when
+/// `start + timeout` would reach past the clock's range, so a huge timeout
+/// never wraps into a deadline that has already passed.
+[[nodiscard]] std::chrono::steady_clock::time_point
+deadlineFor(const Configuration& config,
+            std::chrono::steady_clock::time_point start);
+
 /// Scheduler statistics of one ZX rule family, as recorded by the
 /// simplifier's worklist passes. Replaces the former stringly rule digest;
 /// Result::toString still renders the compact text form from these.

@@ -24,9 +24,7 @@ Result zxCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   // attributed correctly: past the deadline it is a Timeout, before it the
   // only other source of `stop` is a sibling engine's definitive verdict
   // (Cancelled).
-  const auto deadline = config.timeout.count() > 0
-                            ? start + config.timeout
-                            : Clock::time_point::max();
+  const auto deadline = deadlineFor(config, start);
   const auto shouldStop = [&stop, deadline] {
     return (stop && stop()) || Clock::now() >= deadline;
   };

@@ -121,16 +121,8 @@ void ZXDiagram::toggleHadamardAcross(
     const std::span<const std::span<const Vertex>> parts) {
   // Every member with the index of its part, in ascending vertex order: the
   // toggle list of a member is this list without its own part.
-  struct Member {
-    Vertex vertex;
-    std::size_t part;
-  };
-  std::size_t total = 0;
-  for (const auto part : parts) {
-    total += part.size();
-  }
-  std::vector<Member> members;
-  members.reserve(total);
+  auto& members = toggleMembers_;
+  members.clear();
   for (std::size_t p = 0; p < parts.size(); ++p) {
     for (const Vertex v : parts[p]) {
       if (!isPresent(v)) {
@@ -139,19 +131,21 @@ void ZXDiagram::toggleHadamardAcross(
       members.push_back({v, p});
     }
   }
-  std::sort(members.begin(), members.end(),
-            [](const Member& a, const Member& b) {
-              return a.vertex < b.vertex;
-            });
+  const auto byVertex = [](const ToggleMember& a, const ToggleMember& b) {
+    return a.vertex < b.vertex;
+  };
+  if (!std::is_sorted(members.begin(), members.end(), byVertex)) {
+    std::sort(members.begin(), members.end(), byVertex);
+  }
   for (std::size_t i = 1; i < members.size(); ++i) {
     if (members[i].vertex == members[i - 1].vertex) {
       throw CircuitError(
           "ZXDiagram::toggleHadamardAcross: vertex listed twice");
     }
   }
-  // One merge per row into a reused buffer, then copied back so the row
+  // One merge per row into the reused buffer, then copied back so the row
   // keeps its own capacity.
-  NeighborList merged;
+  auto& merged = toggleRow_;
   for (const auto& [x, part] : members) {
     if (parts[part].size() == members.size()) {
       continue; // every other part is empty: nothing to toggle

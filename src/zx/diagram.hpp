@@ -161,6 +161,15 @@ private:
   std::vector<Vertex> inputs_;
   std::vector<Vertex> outputs_;
   std::size_t liveCount_ = 0;
+
+  /// Scratch for toggleHadamardAcross, kept to reuse its capacity: every
+  /// member with the index of its part, and the row being merged.
+  struct ToggleMember {
+    Vertex vertex;
+    std::size_t part;
+  };
+  std::vector<ToggleMember> toggleMembers_;
+  NeighborList toggleRow_;
 };
 
 } // namespace veriqc::zx

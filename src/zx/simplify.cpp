@@ -3,6 +3,7 @@
 #include "fault/fault.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <iomanip>
 #include <map>
@@ -36,12 +37,6 @@ constexpr std::array<int, kSimplifyRuleCount> kReadRadius = {
 
 std::uint8_t ruleBit(const SimplifyRule rule) {
   return static_cast<std::uint8_t>(1U << static_cast<unsigned>(rule));
-}
-
-void sortUnique(std::vector<Vertex>& vertices) {
-  std::sort(vertices.begin(), vertices.end());
-  vertices.erase(std::unique(vertices.begin(), vertices.end()),
-                 vertices.end());
 }
 } // namespace
 
@@ -84,113 +79,103 @@ void Simplifier::Worklist::reset(const ZXDiagram& g) {
   restart(g);
   for (Vertex v = 0; v < g.vertexBound(); ++v) {
     if (g.isPresent(v)) {
-      sweep_.push_back(v); // ascending: already a valid min-heap
-      stamp_[v] = generation_;
+      push(v);
     }
   }
 }
 
-void Simplifier::Worklist::reset(const ZXDiagram& g,
-                                 const std::vector<Vertex>& seeds) {
-  restart(g);
-  sweep_.assign(seeds.begin(), seeds.end()); // sorted: a valid min-heap
-  for (const Vertex v : sweep_) {
-    stamp_[v] = generation_;
-  }
-}
-
 void Simplifier::Worklist::restart(const ZXDiagram& g) {
-  generation_ += 2; // invalidates both current- and next-sweep stamps
-  sweep_.clear();
-  nextSweep_.clear();
-  position_ = -1;
-  const auto bound = static_cast<std::size_t>(g.vertexBound());
-  if (stamp_.size() < bound) {
-    stamp_.resize(bound, 0);
+  if (!empty()) { // a stopped pass left candidates behind
+    std::fill(sweep_.begin(), sweep_.end(), 0);
+    std::fill(nextSweep_.begin(), nextSweep_.end(), 0);
+    sweepCount_ = 0;
+    nextCount_ = 0;
   }
+  const std::size_t words = (std::size_t{g.vertexBound()} + 63) / 64;
+  if (sweep_.size() < words) {
+    sweep_.resize(words, 0);
+    nextSweep_.resize(words, 0);
+  }
+  position_ = -1;
 }
 
-void Simplifier::Worklist::push(const Vertex v) {
-  if (v >= stamp_.size()) {
-    stamp_.resize(static_cast<std::size_t>(v) + 1, 0);
+bool Simplifier::Worklist::push(const Vertex v) {
+  const std::size_t word = v / 64;
+  const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+  if (word >= sweep_.size()) {
+    sweep_.resize(word + 1, 0);
+    nextSweep_.resize(word + 1, 0);
   }
-  if (stamp_[v] >= generation_) {
-    return; // already pending
+  if (((sweep_[word] | nextSweep_[word]) & bit) != 0) {
+    return false; // already pending
   }
   if (static_cast<std::int64_t>(v) > position_) {
-    stamp_[v] = generation_;
-    sweep_.push_back(v);
-    std::push_heap(sweep_.begin(), sweep_.end(), std::greater<>{});
+    sweep_[word] |= bit;
+    ++sweepCount_;
   } else {
-    stamp_[v] = generation_ + 1;
-    nextSweep_.push_back(v);
-    std::push_heap(nextSweep_.begin(), nextSweep_.end(), std::greater<>{});
+    nextSweep_[word] |= bit;
+    ++nextCount_;
   }
+  return true;
 }
 
 Vertex Simplifier::Worklist::pop() {
-  if (sweep_.empty()) {
-    ++generation_;
+  if (sweepCount_ == 0) {
     sweep_.swap(nextSweep_);
+    std::swap(sweepCount_, nextCount_);
     position_ = -1;
   }
-  std::pop_heap(sweep_.begin(), sweep_.end(), std::greater<>{});
-  const Vertex v = sweep_.back();
-  sweep_.pop_back();
+  // Every current-sweep bit lies above the position, so the lowest set bit
+  // from the position's word on is the sweep's smallest id.
+  auto word = static_cast<std::size_t>(position_ + 1) / 64;
+  while (sweep_[word] == 0) {
+    ++word;
+  }
+  const auto offset = static_cast<unsigned>(std::countr_zero(sweep_[word]));
+  sweep_[word] &= ~(std::uint64_t{1} << offset);
+  --sweepCount_;
+  const auto v = static_cast<Vertex>(word * 64 + offset);
   position_ = static_cast<std::int64_t>(v);
-  stamp_[v] = 0;
   return v;
 }
 
 std::vector<std::string> Simplifier::Worklist::checkInvariant() const {
   std::vector<std::string> issues;
-  if (!std::is_heap(sweep_.begin(), sweep_.end(), std::greater<>{})) {
-    issues.emplace_back("current sweep is not a min-heap");
+  if (sweep_.size() != nextSweep_.size()) {
+    issues.push_back("sweep bitsets differ in length: " +
+                     std::to_string(sweep_.size()) + " and " +
+                     std::to_string(nextSweep_.size()) + " words");
+    return issues;
   }
-  if (!std::is_heap(nextSweep_.begin(), nextSweep_.end(), std::greater<>{})) {
-    issues.emplace_back("next sweep is not a min-heap");
-  }
-  std::vector<Vertex> queued;
-  queued.reserve(sweep_.size() + nextSweep_.size());
-  const auto checkEntries = [&](const std::vector<Vertex>& heap,
-                                const std::uint64_t expectedStamp,
-                                const char* name) {
-    for (const Vertex v : heap) {
-      queued.push_back(v);
-      if (v >= stamp_.size()) {
-        issues.push_back(std::string(name) + " entry " + std::to_string(v) +
-                         " has no stamp slot");
-        continue;
-      }
-      if (stamp_[v] != expectedStamp) {
-        issues.push_back(std::string(name) + " entry " + std::to_string(v) +
-                         " stamped " + std::to_string(stamp_[v]) +
-                         ", expected " + std::to_string(expectedStamp));
-      }
-    }
+  const auto lowestId = [](const std::size_t word, const std::uint64_t bits) {
+    return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   };
-  checkEntries(sweep_, generation_, "current sweep");
-  checkEntries(nextSweep_, generation_ + 1, "next sweep");
-  std::sort(queued.begin(), queued.end());
-  for (std::size_t i = 1; i < queued.size(); ++i) {
-    if (queued[i] == queued[i - 1]) {
-      issues.push_back("vertex " + std::to_string(queued[i]) +
-                       " queued more than once");
+  std::size_t current = 0;
+  std::size_t next = 0;
+  for (std::size_t word = 0; word < sweep_.size(); ++word) {
+    current += static_cast<std::size_t>(std::popcount(sweep_[word]));
+    next += static_cast<std::size_t>(std::popcount(nextSweep_[word]));
+    for (auto both = sweep_[word] & nextSweep_[word]; both != 0;
+         both &= both - 1) {
+      issues.push_back("vertex " + std::to_string(lowestId(word, both)) +
+                       " queued in both sweeps");
+    }
+    for (auto bits = sweep_[word]; bits != 0; bits &= bits - 1) {
+      const auto v = static_cast<std::int64_t>(lowestId(word, bits));
+      if (v <= position_) {
+        issues.push_back("current-sweep vertex " + std::to_string(v) +
+                         " lies at or below the scan position " +
+                         std::to_string(position_));
+      }
     }
   }
-  for (std::size_t i = 0; i < stamp_.size(); ++i) {
-    if (stamp_[i] < generation_) {
-      continue; // not pending
-    }
-    if (stamp_[i] > generation_ + 1) {
-      issues.push_back("vertex " + std::to_string(i) +
-                       " has out-of-range stamp " + std::to_string(stamp_[i]));
-    }
-    if (!std::binary_search(queued.begin(), queued.end(),
-                            static_cast<Vertex>(i))) {
-      issues.push_back("vertex " + std::to_string(i) +
-                       " stamped pending but missing from both sweeps");
-    }
+  if (current != sweepCount_) {
+    issues.push_back("current sweep counts " + std::to_string(sweepCount_) +
+                     " vertices but holds " + std::to_string(current));
+  }
+  if (next != nextCount_) {
+    issues.push_back("next sweep counts " + std::to_string(nextCount_) +
+                     " vertices but holds " + std::to_string(next));
   }
   return issues;
 }
@@ -343,26 +328,29 @@ std::size_t Simplifier::runPass(const SimplifyRule rule, TryRule&& tryRule) {
 }
 
 void Simplifier::seedChanged(const SimplifyRule rule) {
+  worklist_.restart(g_);
   seeds_.clear();
   for (const Vertex v : changes_.listed()) {
-    if ((changes_.rules(v) & ruleBit(rule)) != 0 && g_.isPresent(v)) {
+    if ((changes_.rules(v) & ruleBit(rule)) != 0 && g_.isPresent(v) &&
+        worklist_.push(v)) {
       seeds_.push_back(v);
     }
   }
-  // Grow the seeds hop by hop out to the radius; neighbors of live vertices
-  // are live.
+  // Grow the seeds breadth-first out to the radius, queueing each vertex
+  // once; neighbors of live vertices are live.
+  std::size_t hopBegin = 0;
   for (int hop = 0; hop < kReadRadius[static_cast<std::size_t>(rule)];
        ++hop) {
-    sortUnique(seeds_);
-    const std::size_t frontier = seeds_.size();
-    for (std::size_t i = 0; i < frontier; ++i) {
+    const std::size_t hopEnd = seeds_.size();
+    for (std::size_t i = hopBegin; i < hopEnd; ++i) {
       for (const auto& [w, mult] : g_.neighbors(seeds_[i])) {
-        seeds_.push_back(w);
+        if (worklist_.push(w)) {
+          seeds_.push_back(w);
+        }
       }
     }
+    hopBegin = hopEnd;
   }
-  sortUnique(seeds_);
-  worklist_.reset(g_, seeds_);
 }
 
 void Simplifier::resetChangeTracking() {
@@ -647,19 +635,18 @@ std::size_t Simplifier::tryLcomp(const Vertex v) {
       g_.edge(v, v).total() != 0 || !allNeighborsInteriorViaHadamard(v)) {
     return 0;
   }
-  std::vector<Vertex> neighborhood;
-  neighborhood.reserve(g_.neighbors(v).size());
+  auto& neighborhood = neighborhood_;
+  neighborhood.clear();
   for (const auto& [w, mult] : g_.neighbors(v)) {
     neighborhood.push_back(w);
   }
   const PiRational delta = -g_.phase(v);
   removeVertex(v);
-  std::vector<std::span<const Vertex>> singletons;
-  singletons.reserve(neighborhood.size());
+  singletons_.clear();
   for (const Vertex& w : neighborhood) {
-    singletons.emplace_back(&w, 1);
+    singletons_.emplace_back(&w, 1);
   }
-  toggleHadamardAcross(singletons);
+  toggleHadamardAcross(singletons_);
   for (const auto w : neighborhood) {
     addPhase(w, delta);
   }
@@ -676,9 +663,10 @@ std::size_t Simplifier::lcompSimp() {
 }
 
 void Simplifier::pivot(const Vertex u, const Vertex v, const int touchDepth) {
-  std::vector<Vertex> exclusiveU;
-  std::vector<Vertex> exclusiveV;
-  std::vector<Vertex> common;
+  auto& [exclusiveU, exclusiveV, common] = pivotParts_;
+  exclusiveU.clear();
+  exclusiveV.clear();
+  common.clear();
   for (const auto& [w, mult] : g_.neighbors(u)) {
     if (w == v) {
       continue;

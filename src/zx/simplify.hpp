@@ -159,52 +159,49 @@ public:
 
   [[nodiscard]] const SimplifyStats& stats() const noexcept { return stats_; }
 
-  /// Candidate queue with O(1) stamped membership that replays the rewrite
-  /// order of a full ascending-id rescan loop exactly: candidates drain in
-  /// ascending id within a sweep, a re-enqueued candidate above the current
-  /// scan position joins the current sweep (a rescan would still reach it),
-  /// and one at or below the position waits for the next sweep (a rescan
-  /// would only see it on the next iteration). Stale entries (vertices
-  /// removed after being queued) are filtered by the rule matchers via
-  /// isPresent. Public so the audit layer can validate the membership-stamp
-  /// invariant; only Simplifier mutates it during simplification.
+  /// Candidate queue that replays the rewrite order of a full ascending-id
+  /// rescan loop exactly: candidates drain in ascending id within a sweep, a
+  /// re-enqueued candidate above the current scan position joins the current
+  /// sweep (a rescan would still reach it), and one at or below the position
+  /// waits for the next sweep (a rescan would only see it on the next
+  /// iteration). Each sweep is a bitset over vertex ids, so membership,
+  /// deduplication and the ascending order come from the bits themselves.
+  /// Stale entries (vertices removed after being queued) are filtered by the
+  /// rule matchers via isPresent. Public so the audit layer can validate the
+  /// sweep invariant; only Simplifier mutates it during simplification.
   class Worklist {
   public:
-    /// Invalidate all queued entries and start a fresh pass seeded with
-    /// every live vertex.
+    /// Start a fresh pass seeded with every live vertex.
     void reset(const ZXDiagram& g);
-    /// As reset(g), but seed exactly `seeds`: live vertices of g, sorted
-    /// ascending without duplicates (the incremental passes).
-    void reset(const ZXDiagram& g, const std::vector<Vertex>& seeds);
-    void push(Vertex v);
+    /// Start a fresh, empty pass sized for g; push() seeds it.
+    void restart(const ZXDiagram& g);
+    /// Queue v unless it is pending. Returns true if v was newly queued.
+    bool push(Vertex v);
     [[nodiscard]] bool empty() const noexcept {
-      return sweep_.empty() && nextSweep_.empty();
+      return sweepCount_ == 0 && nextCount_ == 0;
     }
+    /// The lowest-id vertex of the current sweep, after moving to the next
+    /// sweep if the current one is drained. Requires !empty().
     Vertex pop();
 
-    /// Validates the membership-stamp invariant: both heaps are min-heaps,
-    /// every current-sweep entry is stamped `generation_`, every next-sweep
-    /// entry `generation_ + 1`, no vertex is queued twice, and every
-    /// pending stamp (>= generation_) has a matching queue entry. Returns
-    /// human-readable descriptions of all violations (empty when clean).
+    /// Validates the sweep invariant: the two sweeps are disjoint, every
+    /// current-sweep vertex lies above the scan position, and each count
+    /// equals its sweep's popcount. Returns human-readable descriptions of
+    /// all violations (empty when clean).
     [[nodiscard]] std::vector<std::string> checkInvariant() const;
 
   private:
     friend struct WorklistTestAccess; ///< mutation tests corrupt state here
 
-    /// Invalidate all queued entries and size the stamps for g.
-    void restart(const ZXDiagram& g);
-
-    /// Min-heaps: candidates for the current and the following sweep. A
-    /// sorted seed vector is already a valid min-heap, so reset() adopts it
-    /// without re-heapifying element by element.
-    std::vector<Vertex> sweep_;
-    std::vector<Vertex> nextSweep_;
+    /// Bit v of word v / 64 is set iff v is queued in that sweep; both
+    /// bitsets always have the same length.
+    std::vector<std::uint64_t> sweep_;
+    std::vector<std::uint64_t> nextSweep_;
+    /// Number of set bits in sweep_ and nextSweep_.
+    std::size_t sweepCount_ = 0;
+    std::size_t nextCount_ = 0;
     /// Id of the last vertex popped this sweep (-1 at sweep start).
     std::int64_t position_ = -1;
-    /// stamp_[v] >= generation_ means v is pending (current or next sweep).
-    std::vector<std::uint64_t> stamp_;
-    std::uint64_t generation_ = 0;
   };
 
   /// The simplifier's worklist (read-only; for the audit layer).
@@ -339,13 +336,20 @@ private:
   /// resetChangeTracking(): only their next passes seed incrementally, and
   /// only their bits are recorded in changes_.
   std::uint8_t atFixpoint_ = 0;
-  /// Scratch for seedChanged(), kept to reuse its capacity.
+  /// Scratch for seedChanged(): the seeds in breadth-first order, kept to
+  /// reuse its capacity.
   std::vector<Vertex> seeds_;
   /// v was expanded to depth d for the current candidate iff
   /// expanded_[v] == expansionEpoch_ + d; runPass advances the epoch by the
   /// deepest touch depth per candidate, which forgets every expansion.
   std::vector<std::uint64_t> expanded_;
   std::uint64_t expansionEpoch_ = 0;
+  /// Scratch for the rule bodies, kept to reuse its capacity: the pivot's
+  /// exclusive and common neighbor parts, and lcomp's neighborhood with one
+  /// singleton part per neighbor.
+  std::array<std::vector<Vertex>, 3> pivotParts_;
+  std::vector<Vertex> neighborhood_;
+  std::vector<std::span<const Vertex>> singletons_;
 };
 
 /// Convenience: full_reduce a diagram in place. Returns false on timeout.

@@ -28,16 +28,22 @@ struct ZXDiagramTestAccess {
   static std::vector<std::size_t>& degrees(ZXDiagram& g) { return g.degrees_; }
 };
 
-/// Befriended by Simplifier::Worklist: plants membership-stamp corruption.
+/// Befriended by Simplifier::Worklist: plants sweep corruption.
 struct WorklistTestAccess {
-  static std::vector<Vertex>& sweep(Simplifier::Worklist& wl) {
+  static std::vector<std::uint64_t>& sweep(Simplifier::Worklist& wl) {
     return wl.sweep_;
   }
-  static std::vector<std::uint64_t>& stamps(Simplifier::Worklist& wl) {
-    return wl.stamp_;
+  static std::vector<std::uint64_t>& nextSweep(Simplifier::Worklist& wl) {
+    return wl.nextSweep_;
   }
-  static std::uint64_t generation(const Simplifier::Worklist& wl) {
-    return wl.generation_;
+  static std::size_t& sweepCount(Simplifier::Worklist& wl) {
+    return wl.sweepCount_;
+  }
+  static std::size_t& nextCount(Simplifier::Worklist& wl) {
+    return wl.nextCount_;
+  }
+  static std::int64_t& position(Simplifier::Worklist& wl) {
+    return wl.position_;
   }
 };
 
@@ -448,32 +454,66 @@ TEST(ZxAuditTest, FlagsBoundaryDegree) {
                        "zx.boundary.degree"));
 }
 
-TEST(ZxAuditTest, FlagsWorklistStampCorruption) {
-  auto diagram = bellDiagram();
+bool mentions(const audit::AuditReport& report, const std::string& code,
+              const std::string& fragment) {
+  for (const auto& finding : report.findings) {
+    if (finding.code == code &&
+        finding.message.find(fragment) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ZxAuditTest, FlagsWorklistSweepCorruption) {
+  auto diagram = bellDiagram().compose(bellDiagram().adjoint());
   zx::Simplifier simplifier(diagram);
+  ASSERT_TRUE(simplifier.fullReduce()); // sizes, fills and drains the sweeps
   EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
   auto& worklist =
       const_cast<zx::Simplifier::Worklist&>(simplifier.worklist());
-  // Queue a vertex without stamping it: membership and stamps now disagree.
-  zx::WorklistTestAccess::sweep(worklist).push_back(0);
-  const auto report = audit::auditWorklist(simplifier);
-  EXPECT_TRUE(report.hasErrors());
-  EXPECT_TRUE(hasCode(report, "zx.worklist.stamp"));
+  auto& sweep = zx::WorklistTestAccess::sweep(worklist);
+  auto& next = zx::WorklistTestAccess::nextSweep(worklist);
+  ASSERT_FALSE(sweep.empty());
+  // Vertex 0 queued in both sweeps, with both counts matching their bits.
+  zx::WorklistTestAccess::position(worklist) = -1;
+  sweep[0] |= 1U;
+  next[0] |= 1U;
+  zx::WorklistTestAccess::sweepCount(worklist) = 1;
+  zx::WorklistTestAccess::nextCount(worklist) = 1;
+  const auto both = audit::auditWorklist(simplifier);
+  EXPECT_TRUE(both.hasErrors());
+  EXPECT_TRUE(mentions(both, "zx.worklist.sweep", "queued in both sweeps"))
+      << both.toString();
+  // Only in the current sweep, but at the scan position: pop() would skip
+  // past it to a higher id.
+  next[0] &= ~std::uint64_t{1};
+  zx::WorklistTestAccess::nextCount(worklist) = 0;
+  EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
+  zx::WorklistTestAccess::position(worklist) = 0;
+  EXPECT_TRUE(mentions(audit::auditWorklist(simplifier), "zx.worklist.sweep",
+                       "at or below the scan position"));
 }
 
-TEST(ZxAuditTest, FlagsPendingStampWithoutQueueEntry) {
+TEST(ZxAuditTest, FlagsSweepCountWithoutMatchingBits) {
   auto diagram = bellDiagram().compose(bellDiagram().adjoint());
   zx::Simplifier simplifier(diagram);
   ASSERT_TRUE(simplifier.fullReduce()); // populates and drains the worklist
   EXPECT_TRUE(audit::auditWorklist(simplifier).empty());
   auto& worklist =
       const_cast<zx::Simplifier::Worklist&>(simplifier.worklist());
-  auto& stamps = zx::WorklistTestAccess::stamps(worklist);
-  ASSERT_FALSE(stamps.empty());
-  // A pending stamp whose vertex sits in neither sweep heap.
-  stamps[0] = zx::WorklistTestAccess::generation(worklist);
-  EXPECT_TRUE(hasCode(audit::auditWorklist(simplifier),
-                      "zx.worklist.stamp"));
+  // A pending count with no bit behind it: empty() would report work that
+  // pop() cannot find.
+  zx::WorklistTestAccess::sweepCount(worklist) = 1;
+  EXPECT_TRUE(mentions(audit::auditWorklist(simplifier), "zx.worklist.sweep",
+                       "current sweep counts 1 vertices but holds 0"));
+  zx::WorklistTestAccess::sweepCount(worklist) = 0;
+  // A bit the count misses: empty() would end the pass with it queued.
+  auto& next = zx::WorklistTestAccess::nextSweep(worklist);
+  ASSERT_FALSE(next.empty());
+  next[0] |= 1U;
+  EXPECT_TRUE(mentions(audit::auditWorklist(simplifier), "zx.worklist.sweep",
+                       "next sweep counts 0 vertices but holds 1"));
 }
 
 TEST(ZxAuditTest, FlagsChangeMaskCorruption) {

@@ -393,6 +393,31 @@ TEST(ManagerTest, TimeoutProducesTimeout) {
   EXPECT_FALSE(isDefinitive(result.criterion));
 }
 
+TEST(ManagerTest, HugeTimeoutSaturatesInsteadOfExpiring) {
+  // 10^13 ms is about 317 years: start + timeout in the clock's nanoseconds
+  // overflows, and the deadline must saturate instead of wrapping into the
+  // past, where every engine would time out at once.
+  Configuration config = quickConfig();
+  config.timeout = std::chrono::milliseconds(10'000'000'000'000);
+  config.runZX = true;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(deadlineFor(config, start),
+            std::chrono::steady_clock::time_point::max());
+  const auto bell = ghz(2);
+  EXPECT_TRUE(provedEquivalent(checkEquivalence(bell, bell, config).criterion));
+  EXPECT_TRUE(
+      provedEquivalent(ddAlternatingCheck(bell, bell, config).criterion));
+  EXPECT_TRUE(provedEquivalent(zxCheck(bell, bell, config).criterion));
+  // Before the deadline, a tripped stop token is a sibling's verdict.
+  EXPECT_EQ(ddAlternatingCheck(bell, bell, config, [] { return true; })
+                .criterion,
+            EquivalenceCriterion::Cancelled);
+  // An ordinary timeout still lands exactly.
+  config.timeout = std::chrono::milliseconds(1500);
+  EXPECT_EQ(deadlineFor(config, start),
+            start + std::chrono::milliseconds(1500));
+}
+
 TEST(ManagerTest, NoEnginesYieldsNoInformation) {
   Configuration config;
   config.runAlternating = false;

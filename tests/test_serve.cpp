@@ -288,6 +288,21 @@ TEST(JobServiceTest, RunsAJobAndEmitsOneValidReport) {
             resources.at("processPeakResidentSetKB").asInt());
 }
 
+TEST(JobServiceTest, HugeTimeoutStillDecidesTheJob) {
+  // A timeout whose deadline lies past the clock's range means "no
+  // deadline", not one that has already passed.
+  Capture capture;
+  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
+  EXPECT_TRUE(service.submitLine(
+      jobLine("huge", bellA(), bellB(),
+              R"({"timeoutMilliseconds":10000000000000})")));
+  service.drain();
+  const auto reports = capture.reports();
+  ASSERT_EQ(reports.size(), 1U);
+  EXPECT_TRUE(check::validateRunReport(reports[0].second).empty());
+  EXPECT_EQ(verdictOf(reports[0].second), "equivalent");
+}
+
 TEST(JobServiceTest, OversizedLinesAreRejectedBeforeParsing) {
   ServiceLimits limits;
   limits.maxLineBytes = 64;

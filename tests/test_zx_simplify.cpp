@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -227,6 +228,106 @@ TEST(ZXSimplifyTest, StopCallbackAborts) {
   const auto c = circuits::randomCliffordT(4, 10, 0.2, 1);
   auto composed = circuitToZX(c).compose(circuitToZX(c).adjoint());
   EXPECT_FALSE(fullReduce(composed, [] { return true; }));
+}
+
+/// The sweep-replay order stated as two ordered sets and a scan position:
+/// the reference the bitset worklist must pop identically to.
+struct ReferenceWorklist {
+  std::set<Vertex> sweep;
+  std::set<Vertex> next;
+  std::int64_t position = -1;
+
+  void restart() {
+    sweep.clear();
+    next.clear();
+    position = -1;
+  }
+  bool push(const Vertex v) {
+    if (sweep.count(v) != 0 || next.count(v) != 0) {
+      return false;
+    }
+    (static_cast<std::int64_t>(v) > position ? sweep : next).insert(v);
+    return true;
+  }
+  [[nodiscard]] bool empty() const { return sweep.empty() && next.empty(); }
+  Vertex pop() {
+    if (sweep.empty()) {
+      std::swap(sweep, next);
+      position = -1;
+    }
+    const Vertex v = *sweep.begin();
+    sweep.erase(sweep.begin());
+    position = static_cast<std::int64_t>(v);
+    return v;
+  }
+};
+
+TEST(ZXWorklistTest, PopOrderMatchesTwoSetReference) {
+  std::size_t below = 0;
+  std::size_t at = 0;
+  std::size_t above = 0;
+  std::size_t sweepSwaps = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    // 150 live ids with holes; pushes reach past the bound, as vertices
+    // added mid-pass do.
+    ZXDiagram g;
+    for (int i = 0; i < 150; ++i) {
+      g.addVertex(VertexType::Z);
+    }
+    for (Vertex v = 3; v < 150; v += 7) {
+      g.removeVertex(v);
+    }
+    Simplifier::Worklist worklist;
+    ReferenceWorklist reference;
+    const auto label = "seed " + std::to_string(seed);
+    for (int step = 0; step < 3000; ++step) {
+      const auto op = rng() % 100;
+      if (op < 2) {
+        worklist.restart(g);
+        reference.restart();
+      } else if (op < 4) {
+        worklist.reset(g);
+        reference.restart();
+        for (const Vertex v : g.vertices()) {
+          reference.push(v);
+        }
+      } else if (op < 55) {
+        Vertex v = 0;
+        const auto kind = rng() % 3;
+        if (kind == 0 && reference.position > 0) {
+          v = static_cast<Vertex>(rng() %
+                                  static_cast<std::uint64_t>(
+                                      reference.position));
+          ++below;
+        } else if (kind == 1 && reference.position >= 0) {
+          v = static_cast<Vertex>(reference.position);
+          ++at;
+        } else {
+          v = static_cast<Vertex>(reference.position + 1 +
+                                  static_cast<std::int64_t>(rng() % 100));
+          ++above;
+        }
+        ASSERT_EQ(worklist.push(v), reference.push(v)) << label;
+      } else if (!reference.empty()) {
+        sweepSwaps += reference.sweep.empty() ? 1 : 0;
+        ASSERT_FALSE(worklist.empty()) << label;
+        ASSERT_EQ(worklist.pop(), reference.pop()) << label;
+      }
+      ASSERT_EQ(worklist.empty(), reference.empty()) << label;
+      const auto issues = worklist.checkInvariant();
+      ASSERT_TRUE(issues.empty()) << label << ": " << issues.front();
+    }
+    while (!reference.empty()) {
+      ASSERT_EQ(worklist.pop(), reference.pop()) << label;
+    }
+    EXPECT_TRUE(worklist.empty()) << label;
+  }
+  // Every push position and the sweep swap were exercised.
+  EXPECT_GT(below, 0U);
+  EXPECT_GT(at, 0U);
+  EXPECT_GT(above, 0U);
+  EXPECT_GT(sweepSwaps, 0U);
 }
 
 TEST(ZXSimplifyTest, StatsMatchScanEngineBaselines) {
