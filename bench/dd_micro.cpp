@@ -9,7 +9,6 @@
 
 #include <cstdio>
 #include <string_view>
-#include <thread>
 
 namespace {
 
@@ -167,37 +166,6 @@ void BM_AlternatingGroverCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AlternatingGroverCheck)->Unit(benchmark::kMillisecond);
-
-/// Thread scaling of the random-stimuli check: sequential (1 worker) vs. a
-/// small worker pool. Each worker owns its own package; verdicts are
-/// identical by construction (per-stimulus-index seeding). The
-/// hardware_concurrency counter lets bench_compare.py skip a baseline
-/// recorded on a different core count instead of comparing scaling curves
-/// that cannot match.
-void BM_SimulationCheckThreads(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto circuit = circuits::grover(5, 3);
-  check::Configuration config;
-  config.simulationRuns = 16;
-  config.simulationThreads = threads;
-  config.stimuliKind = sim::StimuliKind::LocalQuantum;
-  std::size_t performed = 0;
-  for (auto _ : state) {
-    const auto result = check::ddSimulationCheck(circuit, circuit, config);
-    benchmark::DoNotOptimize(result);
-    performed = result.performedSimulations;
-  }
-  state.counters["performed"] = static_cast<double>(performed);
-  state.counters["hardware_concurrency"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_SimulationCheckThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 /// Build type the DD library was compiled as. VERIQC_BUILD_TYPE carries the
 /// configured CMAKE_BUILD_TYPE; NDEBUG distinguishes a real optimized build

@@ -84,6 +84,10 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--method") == 0 && i + 1 < argc) {
       method = argv[++i];
+      if (method != "dd" && method != "zx" && method != "both") {
+        usage(argv[0]);
+        return 3;
+      }
     } else if (std::strcmp(argv[i], "--timeout") == 0) {
       examples::readNumericFlag(i, argc, argv, timeoutSeconds, usage);
       // Saturate: seconds past the range of milliseconds overflow on

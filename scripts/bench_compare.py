@@ -12,17 +12,10 @@ silently rot.
 
 Both JSONs must carry the top-level "library_build_type": "Release" stamp
 bench_smoke.sh injects — numbers from a debug library are rejected outright.
-
-Thread-scaling benchmarks record the host's hardware_concurrency as a
-counter. When the baseline's recorded value differs from the machine running
-the comparison, those entries are skipped (reported, never failed): scaling
-curves measured on a different core count are not comparable, in either
-direction.
 """
 
 import argparse
 import json
-import os
 import statistics
 import sys
 
@@ -47,7 +40,6 @@ def require_release(doc, path):
 def medians(doc, path):
     """Median real_time per benchmark name over its repetition entries."""
     samples = {}
-    hardware = {}
     for entry in doc.get("benchmarks", []):
         # Skip gbenchmark's aggregate rows (mean/median/stddev); the raw
         # iteration entries carry one sample per repetition.
@@ -57,31 +49,15 @@ def medians(doc, path):
         samples.setdefault(name, []).append(
             (entry["real_time"], entry.get("time_unit", "ns"))
         )
-        # Thread-scaling benchmarks publish the host's core count as a
-        # counter; gbenchmark flattens counters into the entry itself.
-        if "hardware_concurrency" in entry:
-            hardware[name] = int(entry["hardware_concurrency"])
     result = {}
     for name, values in samples.items():
         units = {unit for _, unit in values}
         if len(units) != 1:
             sys.exit(f"error: {path}: {name} mixes time units {sorted(units)}")
-        result[name] = (
-            statistics.median(t for t, _ in values),
-            units.pop(),
-            hardware.get(name),
-        )
+        result[name] = (statistics.median(t for t, _ in values), units.pop())
     if not result:
         sys.exit(f"error: {path} contains no benchmark entries")
     return result
-
-
-def machine_concurrency(doc):
-    """Core count of the machine that produced this run."""
-    num_cpus = doc.get("context", {}).get("num_cpus")
-    if num_cpus:
-        return int(num_cpus)
-    return os.cpu_count()
 
 
 def main():
@@ -104,26 +80,15 @@ def main():
     cur = medians(cur_doc, args.current)
 
     failures = []
-    skipped = []
-    current_cores = machine_concurrency(cur_doc)
     width = max(len(name) for name in base | cur)
     print(f"{'benchmark':<{width}}  {'baseline':>12}  {'current':>12}  ratio")
     for name in sorted(base):
-        base_time, base_unit, base_cores = base[name]
-        if base_cores is not None and base_cores != current_cores:
-            # A thread-scaling curve recorded on a different core count is
-            # incomparable here — neither a pass nor a regression.
-            skipped.append(
-                f"{name}: baseline recorded hardware_concurrency="
-                f"{base_cores}, this machine has {current_cores}"
-            )
-            print(f"{name:<{width}}  {base_time:>12.1f}  {'SKIPPED':>12}")
-            continue
+        base_time, base_unit = base[name]
         if name not in cur:
             failures.append(f"{name}: present in baseline but not in current run")
             print(f"{name:<{width}}  {base_time:>12.1f}  {'MISSING':>12}")
             continue
-        cur_time, cur_unit, _ = cur[name]
+        cur_time, cur_unit = cur[name]
         if base_unit != cur_unit:
             failures.append(
                 f"{name}: time unit changed {base_unit} -> {cur_unit}"
@@ -145,12 +110,6 @@ def main():
     for name in sorted(set(cur) - set(base)):
         print(f"{name:<{width}}  {'(new)':>12}  {cur[name][0]:>12.1f}")
 
-    if skipped:
-        print(f"\n{len(skipped)} thread-scaling entr"
-              f"{'y' if len(skipped) == 1 else 'ies'} skipped "
-              "(core-count mismatch):")
-        for entry in skipped:
-            print(f"  {entry}")
     if failures:
         print(f"\n{len(failures)} regression(s) beyond "
               f"{args.threshold * 100:.0f}%:", file=sys.stderr)

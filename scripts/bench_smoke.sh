@@ -22,7 +22,6 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 OUT="BENCH_dd_kernel.json"
 OUT_ZX="BENCH_zx.json"
-OUT_PARALLEL="BENCH_parallel.json"
 OUT_REPORT="BENCH_check_report.json"
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -89,16 +88,6 @@ run_bench "./$BUILD_DIR/bench/zx_micro" "$OUT_ZX" \
   --benchmark_repetitions=3 \
   --benchmark_filter='BM_GroverReduction|BM_CompiledReduction|BM_OptimizedReduction|BM_CliffordReductionLarge|BM_EquivalenceReduction|BM_QftReduction'
 
-# Thread-scaling record: the simulation worker pool at 1, 2 and 4 slots.
-# The per-entry hardware_concurrency counter says how many cores the host
-# had; bench_compare.py skips entries whose baseline was recorded on a
-# different core count, since their scaling curves cannot match.
-run_bench "./$BUILD_DIR/bench/dd_micro" "$OUT_PARALLEL" \
-  --benchmark_format=json \
-  --benchmark_min_time=0.1 \
-  --benchmark_repetitions=3 \
-  --benchmark_filter='BM_SimulationCheckThreads'
-
 # --- end-to-end run report ---------------------------------------------------
 # Check a GHZ preparation against an equivalent variant padded with
 # self-cancelling gates (exactly equivalent, so the run exercises the DD
@@ -130,17 +119,13 @@ EOF
 sed -i "0,/{/s//{\n  \"library_build_type\": \"$BUILD_TYPE\",/" "$OUT_REPORT"
 "./$BUILD_DIR/examples/check_qasm" --validate-report "$OUT_REPORT"
 
-echo "Wrote $OUT, $OUT_ZX, $OUT_PARALLEL and $OUT_REPORT"
+echo "Wrote $OUT, $OUT_ZX and $OUT_REPORT"
 echo
 echo "=== cache-stats digest ==="
 # Per-benchmark wall time plus the cache counters embedded in the JSON.
-grep -E '"(name|real_time|gate_cache_hit_rate|compute_hit_rate|performed|peak_rss_kb|library_build_type|store_occupancy|store_probe_length)"' \
+grep -E '"(name|real_time|gate_cache_hit_rate|compute_hit_rate|peak_rss_kb|library_build_type|store_occupancy|store_probe_length)"' \
   "$OUT" | sed -e 's/^[[:space:]]*//' -e 's/,$//'
 echo
 echo "=== zx digest ==="
 grep -E '"(name|real_time|rewrites|candidates|spider_candidates|peak_rss_kb)"' \
   "$OUT_ZX" | sed -e 's/^[[:space:]]*//' -e 's/,$//'
-echo
-echo "=== thread-scaling digest ==="
-grep -E '"(name|real_time|hardware_concurrency|performed)"' \
-  "$OUT_PARALLEL" | sed -e 's/^[[:space:]]*//' -e 's/,$//'

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run the thread-stress suites under ThreadSanitizer (the tsan CMake preset).
 # tests/test_threading.cpp is the main workload: the parallel manager's
-# racing engines, the multi-threaded simulation worker pool (including
-# oversubscription and mid-flight cancellation) and several concurrent
-# managers at once. tests/test_task_pool.cpp drives the task pool's shared
+# racing engines, a sibling's verdict cancelling an engine mid-flight and
+# several concurrent managers at once. Every engine runs on one thread, so
+# the manager's race is the only concurrency inside a check.
+# tests/test_task_pool.cpp drives the task pool's shared
 # queue, the wakeups of sleeping workers and waiters, cancellation and
 # exception containment directly. tests/test_fault_injection.cpp adds the
 # degradation-ladder retry rounds, the soft watchdog's heartbeat/trip

@@ -13,9 +13,9 @@
 #   - the --metrics-fd dump is valid JSON whose serve/ counters add up
 #     (submitted = admitted + rejected), and SIGUSR1 produces a mid-run
 #     metrics dump without disturbing the job stream;
-#   - a numeric flag that is not a whole, non-negative decimal integer, or
-#     an unknown flag, stops veriqcd (and check_qasm) with the usage and
-#     exit code 3 before any job runs.
+#   - a numeric flag that is not a whole, non-negative decimal integer, an
+#     unknown flag, or a --method other than dd, zx or both, stops veriqcd
+#     (and check_qasm) with the usage and exit code 3 before any job runs.
 #
 # Usage: scripts/serve_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -73,7 +73,9 @@ expect_usage_exit "$VERIQCD" --max-active 2x
 expect_usage_exit "$VERIQCD" --no-shared-cache
 expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
   --timeout 10 --sims -1
-echo "malformed flags OK: 6 commands stopped with usage exit 3"
+expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
+  --method ZX
+echo "malformed flags OK: 7 commands stopped with usage exit 3"
 
 # --- batch over stdin --------------------------------------------------------
 
@@ -230,4 +232,4 @@ EOF
 
 # One-line coverage summary: jobs pushed through each transport and how many
 # report lines survived the validateRunReport schema gate.
-echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 2 metrics dumps checked, 6 malformed flags rejected)"
+echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 2 metrics dumps checked, 7 malformed flags rejected)"

@@ -1,18 +1,15 @@
 #include "check/dd_checkers.hpp"
 
 #include "audit/checkpoint.hpp"
-#include "check/task_pool.hpp"
 #include "dd/package.hpp"
 #include "opt/optimizer.hpp"
 #include "sim/dd_simulator.hpp"
 #include "sim/dense.hpp"
-#include "support/mutex.hpp"
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <limits>
+#include <random>
 
 namespace veriqc::check {
 
@@ -63,8 +60,7 @@ dd::PackageConfig packageConfigFor(const Configuration& config) {
 }
 
 /// Independent seed for stimulus `run` (splitmix64 mix of seed and index):
-/// makes the generated stimulus a function of (seed, run) alone, independent
-/// of which worker draws it and in which order.
+/// makes the generated stimulus a function of (seed, run) alone.
 std::uint64_t stimulusSeed(const std::uint64_t seed, const std::uint64_t run) {
   std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (run + 1);
   z = (z ^ (z >> 30U)) * 0xBF58476D1CE4E5B9ULL;
@@ -602,168 +598,68 @@ Result ddSimulationCheck(const QuantumCircuit& c1, const QuantumCircuit& c2,
   const auto deadline = deadlineFor(config, start);
   Result result;
   result.method = "dd-simulation(" + toString(config.stimuliKind) + ")";
+  result.criterion = EquivalenceCriterion::ProbablyEquivalent;
   const auto [a, b] = alignCircuits(c1, c2);
-
-  const std::size_t runs = config.simulationRuns;
-  std::size_t workers = TaskPool::resolveSlots(config.simulationThreads);
-  workers = std::min(workers, std::max<std::size_t>(1, runs));
-
-  constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
-  std::atomic<std::size_t> nextRun{0};
-  // Smallest failing stimulus index found so far. Runs are claimed in index
-  // order and a run only aborts once a *smaller* index has failed, so every
-  // index below the final value is fully simulated: the first counterexample
-  // is deterministic regardless of thread count and scheduling.
-  std::atomic<std::size_t> failIndex{kNoFail};
-  std::atomic<bool> sawStop{false};
-  // Workers must not let exceptions escape (raw std::thread would
-  // std::terminate). A tripped resource budget is remembered as a flag so the
-  // surviving workers' verdicts still count; any other exception is captured
-  // once and rethrown on the caller's thread after the join.
-  std::atomic<bool> sawResourceLimit{false};
-  // Indices actually claimed from the shared counter. Tracked separately
-  // from `performed` so the exact-accounting invariant — a cancelled worker
-  // must not burn an index it never simulates — is observable from outside.
-  std::atomic<std::size_t> claimed{0};
-  std::atomic<std::size_t> performed{0};
-  support::Mutex resultMutex; // guards the non-atomic result fields below
-  std::size_t peakNodes = 0;
-  std::string resourceLimitMessage;
-  std::exception_ptr workerError;
-
-  const auto workerFn = [&]() {
-    try {
-      // The DD package is documented single-threaded: one per worker.
-      dd::Package package(a.numQubits(), config.numericalTolerance,
-                          packageConfigFor(config));
-      // Per-worker checkpoint: packages are thread-local, so the audit walks
-      // only structures owned by this thread.
-      audit::DDCheckpoint checkpoint(config.auditLevel,
-                                     "dd-simulation checkpoint");
-      while (true) {
-        // Poll the stop token *before* claiming an index: a cancelled worker
-        // that claims first burns the index — it is counted out of `runs`
-        // but never simulated, so the performed-run accounting drifts.
-        if (stop && stop()) {
-          sawStop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::size_t run =
-            nextRun.fetch_add(1, std::memory_order_relaxed);
-        if (run >= runs ||
-            run > failIndex.load(std::memory_order_relaxed)) {
-          break;
-        }
-        claimed.fetch_add(1, std::memory_order_relaxed);
-        // Abort mid-simulation on external stop or once an earlier stimulus
-        // already proved non-equivalence.
-        const auto localStop = [&stop, &failIndex, run]() {
-          return (stop && stop()) ||
-                 failIndex.load(std::memory_order_relaxed) < run;
-        };
-        std::mt19937_64 rng(stimulusSeed(config.seed, run));
-        const auto stimulus =
-            sim::generateStimulus(config.stimuliKind, a.numQubits(), rng);
-        const auto input =
-            sim::simulate(package, stimulus, package.makeZeroState(), localStop);
-        const auto out1 = sim::simulate(package, a, input, localStop);
-        const auto out2 = sim::simulate(package, b, input, localStop);
-        const bool abortedExternal = stop && stop();
-        const bool abortedLocal =
-            failIndex.load(std::memory_order_relaxed) < run;
-        if (!abortedExternal && !abortedLocal && checkpoint.enabled()) {
-          // The three state vectors are the only externally referenced
-          // edges at this point (matrix gate DDs live in the gate cache,
-          // which the audit treats as an internal root).
-          const std::array vectorRoots{input, out1, out2};
-          checkpoint.postGate(package, {}, vectorRoots);
-        }
-        const double fidelity = (abortedExternal || abortedLocal)
-                                    ? 1.0
-                                    : package.fidelity(out1, out2);
-        package.decRef(input);
-        package.decRef(out1);
-        package.decRef(out2);
-        package.garbageCollect();
-        if (abortedExternal) {
-          sawStop.store(true, std::memory_order_relaxed);
-          break;
-        }
-        if (abortedLocal) {
-          continue; // moot: a smaller counterexample exists
-        }
-        performed.fetch_add(1, std::memory_order_relaxed);
-        const auto stats = package.stats();
-        {
-          const support::LockGuard lock(resultMutex);
-          peakNodes =
-              std::max(peakNodes, stats.matrixNodes + stats.vectorNodes);
-        }
-        if (std::abs(fidelity - 1.0) > config.checkTolerance) {
-          std::size_t expected = failIndex.load(std::memory_order_relaxed);
-          while (run < expected &&
-                 !failIndex.compare_exchange_weak(expected, run,
-                                                  std::memory_order_relaxed)) {
-          }
-        }
-      }
-      // Quiescent point: every state vector has been decRef'ed, so the
-      // recount expects no external roots at all.
-      checkpoint.boundary(package);
-      const support::LockGuard lock(resultMutex);
-      recordCacheStats(package, result);
-    } catch (const ResourceLimitError& e) {
-      sawResourceLimit.store(true, std::memory_order_relaxed);
-      const support::LockGuard lock(resultMutex);
-      if (resourceLimitMessage.empty()) {
-        resourceLimitMessage = e.what();
-      }
-    } catch (...) {
-      const support::LockGuard lock(resultMutex);
-      if (!workerError) {
-        workerError = std::current_exception();
-      }
-    }
+  dd::Package package(a.numQubits(), config.numericalTolerance,
+                      packageConfigFor(config));
+  audit::DDCheckpoint checkpoint(config.auditLevel, "dd-simulation checkpoint");
+  const auto countPerformed = [&result] {
+    result.counters.add("sim.stimuli.performed",
+                        static_cast<double>(result.performedSimulations));
   };
 
-  if (workers <= 1) {
-    workerFn();
-  } else {
-    // N pool slots give N-way parallelism from N-1 spawned threads: the
-    // calling thread runs one worker task itself inside wait(). Worker
-    // exceptions are contained by workerFn (flag + exception_ptr), so the
-    // group's own rethrow path stays unused here.
-    TaskPool pool(workers);
-    TaskGroup group(pool);
-    for (std::size_t i = 0; i < workers; ++i) {
-      group.submit(workerFn);
+  try {
+    // Runs go in index order and stop at the first counterexample, so the
+    // reported index is the smallest failing one and depends only on
+    // (seed, run), not on how many runs are configured.
+    for (std::size_t run = 0; run < config.simulationRuns; ++run) {
+      if (stop && stop()) {
+        result.criterion = stopAttribution(deadline);
+        break;
+      }
+      std::mt19937_64 rng(stimulusSeed(config.seed, run));
+      const auto stimulus =
+          sim::generateStimulus(config.stimuliKind, a.numQubits(), rng);
+      const auto input =
+          sim::simulate(package, stimulus, package.makeZeroState(), stop);
+      const auto out1 = sim::simulate(package, a, input, stop);
+      const auto out2 = sim::simulate(package, b, input, stop);
+      const bool stopped = stop && stop();
+      if (!stopped && checkpoint.enabled()) {
+        // The three state vectors are the only externally referenced edges
+        // at this point (matrix gate DDs live in the gate cache, which the
+        // audit treats as an internal root).
+        const std::array vectorRoots{input, out1, out2};
+        checkpoint.postGate(package, {}, vectorRoots);
+      }
+      const double fidelity = stopped ? 1.0 : package.fidelity(out1, out2);
+      package.decRef(input);
+      package.decRef(out1);
+      package.decRef(out2);
+      package.garbageCollect();
+      if (stopped) {
+        result.criterion = stopAttribution(deadline);
+        break;
+      }
+      ++result.performedSimulations;
+      const auto stats = package.stats();
+      result.peakNodes =
+          std::max(result.peakNodes, stats.matrixNodes + stats.vectorNodes);
+      if (std::abs(fidelity - 1.0) > config.checkTolerance) {
+        result.criterion = EquivalenceCriterion::NotEquivalent;
+        result.counterexampleStimulus = static_cast<std::int64_t>(run);
+        break;
+      }
     }
-    group.wait();
+    // Quiescent point: every state vector has been decRef'ed, so the
+    // recount expects no external roots at all.
+    checkpoint.boundary(package);
+  } catch (const ResourceLimitError& e) {
+    countPerformed();
+    return resourceExhausted(std::move(result), package, e, start);
   }
-  if (workerError) {
-    std::rethrow_exception(workerError);
-  }
-
-  result.performedSimulations = performed.load();
-  result.counters.add("sim.stimuli.claimed",
-                      static_cast<double>(claimed.load()));
-  result.counters.add("sim.stimuli.performed",
-                      static_cast<double>(performed.load()));
-  result.peakNodes = peakNodes;
-  const auto firstFail = failIndex.load();
-  if (firstFail != kNoFail) {
-    // A counterexample is definitive even when another worker ran out of
-    // budget or the deadline passed: the circuits differ.
-    result.criterion = EquivalenceCriterion::NotEquivalent;
-    result.counterexampleStimulus = static_cast<std::int64_t>(firstFail);
-  } else if (sawResourceLimit.load() && performed.load() < runs) {
-    result.criterion = EquivalenceCriterion::ResourceExhausted;
-    result.errorMessage = resourceLimitMessage;
-  } else if (sawStop.load()) {
-    result.criterion = stopAttribution(deadline);
-  } else {
-    result.criterion = EquivalenceCriterion::ProbablyEquivalent;
-  }
+  countPerformed();
+  recordCacheStats(package, result);
   result.runtimeSeconds = secondsSince(start);
   return result;
 }

@@ -82,9 +82,6 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 
 /// Walk one rung down the degradation ladder for a failed slot, mutating its
 /// configuration (and possibly its kind) in place. Rungs, first-applicable:
-///  - "single-thread" (simulation): run the stimuli on one worker — the
-///    retry avoids the worker pool entirely. Only a simulation slot uses
-///    simulationThreads, so any other slot skips this rung.
 ///  - "gc-tight" (DD engines): collect eagerly from a small threshold and
 ///    halve a finite node budget — trades throughput for a tight memory
 ///    band, the right response to bad_alloc/budget failures.
@@ -93,10 +90,6 @@ std::string engineName(const EngineKind kind, const Configuration& config) {
 ///  - "retry": nothing left to degrade; try again as-is (the failure may
 ///    have been transient, e.g. a bounded injected fault).
 std::string degradeStep(EngineKind& kind, Configuration& config) {
-  if (kind == EngineKind::Simulation && config.simulationThreads != 1) {
-    config.simulationThreads = 1;
-    return "single-thread";
-  }
   const bool ddEngine =
       kind == EngineKind::Alternating || kind == EngineKind::Simulation;
   if (ddEngine && !config.aggressiveGC) {

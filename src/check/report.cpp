@@ -46,7 +46,6 @@ obs::Json serializeConfiguration(const Configuration& config) {
   j["reconstructSwaps"] = config.reconstructSwaps;
   j["simulationRuns"] = config.simulationRuns;
   j["stimuliKind"] = sim::toString(config.stimuliKind);
-  j["simulationThreads"] = config.simulationThreads;
   j["seed"] = static_cast<std::int64_t>(config.seed);
   j["timeoutMilliseconds"] =
       static_cast<std::int64_t>(config.timeout.count());

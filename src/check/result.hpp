@@ -69,11 +69,6 @@ struct Configuration {
   /// decision diagrams small on entangling circuits, while random product
   /// or entangled inputs can blow the vector DD up exponentially.
   sim::StimuliKind stimuliKind = sim::StimuliKind::Classical;
-  /// Worker threads for the random-stimuli checker (0 = hardware
-  /// concurrency). Each worker owns its own DD package; stimuli are seeded
-  /// per run index, so the verdict — and the counterexample, if any — is
-  /// identical for every thread count.
-  std::size_t simulationThreads = 1;
   std::uint64_t seed = 42;
   /// Wall-clock budget; zero means unlimited.
   std::chrono::milliseconds timeout{0};
@@ -125,8 +120,8 @@ struct Configuration {
   std::string faultPlan;
   /// Retries the manager grants each engine slot beyond its first attempt
   /// (0 = fail fast). Every retry runs under a configuration degraded one
-  /// rung further down the ladder (single-thread, gc-tight, sim-fallback,
-  /// plain retry) and is recorded in the result's attempt lineage.
+  /// rung further down the ladder (gc-tight, sim-fallback, plain retry) and
+  /// is recorded in the result's attempt lineage.
   std::size_t engineRetryLimit = 0;
   /// Soft-watchdog poll budget in milliseconds (0 = disabled): when an
   /// engine stops polling its stop token for this long, the manager trips
@@ -165,7 +160,7 @@ struct AttemptRecord {
   std::string engine;       ///< engine name as attempted (may change: sim-fallback)
   std::size_t attempt = 0;  ///< 0 = first run, 1.. = retries
   /// Ladder rung applied before this attempt ("" for the first run):
-  /// "single-thread", "gc-tight", "sim-fallback" or "retry".
+  /// "gc-tight", "sim-fallback" or "retry".
   std::string degradation;
   std::string criterion;    ///< outcome of this attempt (toString form)
   double runtimeSeconds = 0.0;

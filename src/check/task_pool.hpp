@@ -1,8 +1,9 @@
 /// \file task_pool.hpp
 /// \brief Shared task pool for the checker layer: one FIFO queue, one lock.
 ///
-/// One pool serves every parallel path of the checker layer: the manager's
-/// racing engines and the random-stimuli workers. Tasks wait in a single
+/// The pool serves the one parallel path of the checker layer: the
+/// manager's racing engines, each of which runs on one thread (veriqcd
+/// shares one pool across all its jobs' managers). Tasks wait in a single
 /// FIFO queue. The `slots - 1` spawned workers take tasks from its front, and
 /// so does every thread blocked in TaskGroup::wait(), so a pool of N slots
 /// yields N-way parallelism from N-1 threads.

@@ -1,5 +1,6 @@
 #include "serve/job.hpp"
 
+#include "audit/finding.hpp"
 #include "obs/json.hpp"
 
 #include <chrono>
@@ -47,8 +48,6 @@ void applyConfigKey(check::Configuration& config, const std::string& key,
         static_cast<std::int64_t>(asSize(value, key)));
   } else if (key == "simulationRuns") {
     config.simulationRuns = asSize(value, key);
-  } else if (key == "simulationThreads") {
-    config.simulationThreads = asSize(value, key);
   } else if (key == "seed") {
     config.seed = static_cast<std::uint64_t>(asSize(value, key));
   } else if (key == "runAlternating") {
@@ -74,7 +73,13 @@ void applyConfigKey(check::Configuration& config, const std::string& key,
   } else if (key == "recordTrace") {
     config.recordTrace = asBool(value, key);
   } else if (key == "auditLevel") {
-    config.auditLevel = static_cast<int>(asSize(value, key));
+    // Bounded before the narrowing cast: a wrapped value could turn a
+    // requested audit into none.
+    const auto level = asSize(value, key);
+    if (level > static_cast<std::size_t>(audit::kAuditEveryCheckpoint)) {
+      throw ProtocolError{"config.auditLevel: expected 0, 1 or 2"};
+    }
+    config.auditLevel = static_cast<int>(level);
   } else if (key == "faultPlan") {
     config.faultPlan = asString(value, key);
   } else if (key == "oracle") {

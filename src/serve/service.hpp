@@ -21,9 +21,9 @@
 /// Shared state across jobs:
 ///  - one TaskPool: every manager's parallel rounds run on it
 ///    (Manager::useTaskPool), so the daemon's thread count is fixed instead
-///    of per-job pools churning threads. The one remaining exception is a
-///    job with simulationThreads > 1: its simulation check builds a private
-///    worker pool for its stimuli, spawning threads outside the shared one;
+///    of per-job pools churning threads. Every engine runs on one thread,
+///    so no job can make the daemon start threads in proportion to a
+///    number it sends;
 ///  - one CounterRegistry: per-job counters merge into the daemon metrics
 ///    (metricsJson), alongside serve/-prefixed service counters.
 ///

@@ -177,7 +177,7 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto parsed = parseJobLine(
       jobLine("j", "a", "b",
               R"({"timeoutMilliseconds":1500,"simulationRuns":3,)"
-              R"("simulationThreads":2,"seed":9,"runAlternating":true,)"
+              R"("seed":9,"runAlternating":true,)"
               R"("runSimulation":false,"runZX":true,"runDense":false,)"
               R"("parallel":false,"maxDDNodes":1000,"maxMemoryMB":64,)"
               R"("recordTrace":true,"oracle":"lookahead"})"),
@@ -186,7 +186,6 @@ TEST(JobParseTest, AppliesEveryWhitelistedConfigKey) {
   const auto& c = parsed.request.config;
   EXPECT_EQ(c.timeout, std::chrono::milliseconds(1500));
   EXPECT_EQ(c.simulationRuns, 3U);
-  EXPECT_EQ(c.simulationThreads, 2U);
   EXPECT_EQ(c.seed, 9U);
   EXPECT_TRUE(c.runAlternating);
   EXPECT_FALSE(c.runSimulation);
@@ -237,6 +236,24 @@ TEST(JobParseTest, TortureLinesAllRejectStructurally) {
     EXPECT_NE(parsed.detail.find(expectedDetail), std::string::npos)
         << line << " -> " << parsed.detail;
   }
+}
+
+TEST(JobParseTest, AuditLevelAboveTheMaximumIsRejected) {
+  // A value past int's range would wrap in the narrowing cast (4294967296
+  // reading as level 0), so a job asking for audits could run with none.
+  const check::Configuration defaults;
+  for (const char* level : {"3", "2147483648", "4294967296"}) {
+    const auto parsed = parseJobLine(
+        jobLine("j", "a", "b", std::string(R"({"auditLevel":)") + level + "}"),
+        defaults);
+    EXPECT_EQ(parsed.reason, RejectReason::MalformedRequest) << level;
+    EXPECT_NE(parsed.detail.find("config.auditLevel"), std::string::npos)
+        << level << " -> " << parsed.detail;
+  }
+  const auto parsed =
+      parseJobLine(jobLine("j", "a", "b", R"({"auditLevel":2})"), defaults);
+  ASSERT_EQ(parsed.reason, RejectReason::None) << parsed.detail;
+  EXPECT_EQ(parsed.request.config.auditLevel, 2);
 }
 
 TEST(JobParseTest, TruncatedJsonKeepsTheInvariantViaRejection) {
@@ -339,6 +356,23 @@ TEST(JobServiceTest, BudgetAboveTheDaemonCapIsRejected) {
   EXPECT_EQ(reasons.at("greedy"), "budget_exceeds_limit");
   EXPECT_EQ(reasons.at("capped"), "");
   EXPECT_EQ(reasons.at("inherit"), "");
+}
+
+TEST(JobServiceTest, SimulationThreadsKeyIsRejected) {
+  // The simulation check runs on one thread; a job may not ask for more.
+  Capture capture;
+  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
+  EXPECT_FALSE(service.submitLine(
+      jobLine("threads", bellA(), bellB(), R"({"simulationThreads":2})")));
+  service.drain();
+  const auto reports = capture.reports();
+  ASSERT_EQ(reports.size(), 1U);
+  const auto& report = reports[0].second;
+  EXPECT_TRUE(check::validateRunReport(report).empty());
+  EXPECT_EQ(verdictOf(report), "not_run");
+  EXPECT_EQ(jobObject(report).at("reason").asString(), "malformed_request");
+  EXPECT_EQ(jobObject(report).at("detail").asString(),
+            "config.simulationThreads: unknown configuration key");
 }
 
 TEST(JobServiceTest, MemoryBudgetShedsLoadInsteadOfOOMing) {
