@@ -5,8 +5,7 @@
 /// Usage: check_qasm <a.qasm> <b.qasm> [--method dd|zx|both]
 ///                   [--timeout <seconds>] [--sims <n>]
 ///                   [--json <path>] [--trace]
-///                   [--retries <n>] [--watchdog-ms <n>]
-///                   [--fault-plan <plan>]
+///                   [--retries <n>] [--fault-plan <plan>]
 ///        check_qasm --validate-report <path>
 ///
 /// Exit code: 0 = equivalent, 1 = not equivalent, 2 = undecided, 3 = error.
@@ -29,8 +28,7 @@ void usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s <a.qasm> <b.qasm> [--method dd|zx|both] "
                "[--timeout <seconds>] [--sims <n>] [--json <path>] "
-               "[--trace] [--retries <n>] [--watchdog-ms <n>] "
-               "[--fault-plan <plan>]\n"
+               "[--trace] [--retries <n>] [--fault-plan <plan>]\n"
                "       %s --validate-report <path>\n",
                prog, prog);
 }
@@ -107,8 +105,6 @@ int main(int argc, char** argv) {
       config.recordTrace = true;
     } else if (std::strcmp(argv[i], "--retries") == 0) {
       examples::readNumericFlag(i, argc, argv, config.engineRetryLimit, usage);
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
-      examples::readNumericFlag(i, argc, argv, config.watchdogMillis, usage);
     } else if (std::strcmp(argv[i], "--fault-plan") == 0 && i + 1 < argc) {
       config.faultPlan = argv[++i];
     } else {

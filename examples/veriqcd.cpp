@@ -24,12 +24,14 @@
 #include "support/mutex.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -97,40 +99,34 @@ void dumpMetrics(const veriqc::serve::JobService& service, const int fd) {
 /// One connected client: read lines, feed the service. Reports still go to
 /// stdout — the socket is an ingress, not a session; a short reply with the
 /// admission outcome is written back per line so clients can flow-control.
-void serveClient(const int fd, veriqc::serve::JobService& service) {
-  std::string buffer;
+void serveClient(const int fd, veriqc::serve::JobService& service,
+                 const std::size_t maxLineBytes) {
+  bool replying = true;
+  veriqc::serve::LineSplitter lines(
+      maxLineBytes, [&](const std::string_view line) {
+        const char* reply =
+            service.submitLine(line) ? "admitted\n" : "rejected\n";
+        if (replying && ::write(fd, reply, std::strlen(reply)) < 0) {
+          replying = false;
+        }
+      });
   std::vector<char> chunk(4096);
-  while (true) {
+  while (replying) {
     const auto n = ::read(fd, chunk.data(), chunk.size());
     if (n <= 0) {
+      // A trailing un-terminated line still counts as a submission; it gets
+      // no reply.
+      replying = false;
+      lines.finish();
       break;
     }
-    buffer.append(chunk.data(), static_cast<std::size_t>(n));
-    std::size_t begin = 0;
-    for (std::size_t nl = buffer.find('\n', begin); nl != std::string::npos;
-         nl = buffer.find('\n', begin)) {
-      const std::string_view line(buffer.data() + begin, nl - begin);
-      if (!line.empty()) {
-        const bool admitted = service.submitLine(line);
-        const char* reply = admitted ? "admitted\n" : "rejected\n";
-        if (::write(fd, reply, std::strlen(reply)) < 0) {
-          ::close(fd);
-          return;
-        }
-      }
-      begin = nl + 1;
-    }
-    buffer.erase(0, begin);
-  }
-  // A trailing un-terminated line still counts as a submission.
-  if (!buffer.empty()) {
-    service.submitLine(buffer);
+    lines.feed({chunk.data(), static_cast<std::size_t>(n)});
   }
   ::close(fd);
 }
 
 int serveSocket(const std::string& path, veriqc::serve::JobService& service,
-                const int metricsFd) {
+                const std::size_t maxLineBytes, const int metricsFd) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listener < 0) {
     std::perror("veriqcd: socket");
@@ -167,8 +163,9 @@ int serveSocket(const std::string& path, veriqc::serve::JobService& service,
       }
       break;
     }
-    clients.emplace_back(
-        [client, &service] { serveClient(client, service); });
+    clients.emplace_back([client, &service, maxLineBytes] {
+      serveClient(client, service, maxLineBytes);
+    });
   }
   ::close(listener);
   ::unlink(path.c_str());
@@ -182,20 +179,43 @@ int serveSocket(const std::string& path, veriqc::serve::JobService& service,
 
 #endif // VERIQCD_HAVE_SOCKETS
 
+/// Read what stdin has ready, at most `size` bytes, waiting only until some
+/// arrive (a streaming client's next line may not exist yet); 0 at the end
+/// of input or when a shutdown signal interrupts the wait.
+std::size_t readStdin(char* data, const std::size_t size) {
+#if defined(__unix__) || defined(__APPLE__)
+  while (true) {
+    const auto n = ::read(0, data, size);
+    if (n >= 0) {
+      return static_cast<std::size_t>(n);
+    }
+    if (errno != EINTR || gShutdownRequested != 0) {
+      return 0;
+    }
+  }
+#else
+  return size > 0 && std::cin.get(*data) ? 1 : 0;
+#endif
+}
+
 /// stdin ingress: a reader thread pumps lines into the service while the
 /// main thread polls the signal flags, so SIGUSR1 dumps metrics even while
 /// the reader blocks on a quiet pipe.
-int serveStdin(veriqc::serve::JobService& service, const int metricsFd) {
+int serveStdin(veriqc::serve::JobService& service,
+               const std::size_t maxLineBytes, const int metricsFd) {
   std::atomic<bool> eof{false};
-  std::thread reader([&service, &eof] {
-    std::string line;
-    while (std::getline(std::cin, line)) {
-      if (!line.empty()) {
-        service.submitLine(line);
-      }
-      if (gShutdownRequested != 0) {
+  std::thread reader([&service, &eof, maxLineBytes] {
+    veriqc::serve::LineSplitter lines(
+        maxLineBytes,
+        [&service](const std::string_view line) { service.submitLine(line); });
+    std::vector<char> chunk(4096);
+    while (gShutdownRequested == 0) {
+      const auto n = readStdin(chunk.data(), chunk.size());
+      if (n == 0) {
+        lines.finish();
         break;
       }
+      lines.feed({chunk.data(), n});
     }
     eof.store(true, std::memory_order_release);
   });
@@ -290,14 +310,14 @@ int main(int argc, char** argv) {
   int exitCode = 0;
   if (!socketPath.empty()) {
 #ifdef VERIQCD_HAVE_SOCKETS
-    exitCode = serveSocket(socketPath, service, metricsFd);
+    exitCode = serveSocket(socketPath, service, limits.maxLineBytes, metricsFd);
     service.shutdown(/*cancelInFlight=*/gShutdownRequested != 0);
 #else
     std::fprintf(stderr, "veriqcd: sockets unavailable on this platform\n");
     return 3;
 #endif
   } else {
-    exitCode = serveStdin(service, metricsFd);
+    exitCode = serveStdin(service, limits.maxLineBytes, metricsFd);
   }
   service.shutdown(/*cancelInFlight=*/false); // idempotent; joins workers
   dumpMetrics(service, metricsFd);

@@ -7,13 +7,13 @@
 # tests/test_task_pool.cpp drives the task pool's shared
 # queue, the wakeups of sleeping workers and waiters, cancellation and
 # exception containment directly. tests/test_fault_injection.cpp adds the
-# degradation-ladder retry rounds, the soft watchdog's heartbeat/trip
-# handshake and fault-poisoned task groups, all of which cross thread
-# boundaries. tests/test_serve.cpp runs the veriqcd JobService: concurrent
-# submitting clients, shutdown cancelling in-flight jobs, and racing
-# shutdown() callers (the double-join regression). The pool's two wakeup
-# regressions (EnqueueWakesASleepingWorker, WaiterIsWokenByAWorkersCompletion)
-# run here too. Any TSan report fails the run.
+# degradation-ladder retry rounds and fault-poisoned task groups, both of
+# which cross thread boundaries. tests/test_serve.cpp runs the veriqcd
+# JobService: concurrent submitting clients, shutdown cancelling in-flight
+# jobs, and racing shutdown() callers (the double-join regression). The
+# pool's two wakeup regressions (EnqueueWakesASleepingWorker,
+# WaiterIsWokenByAWorkersCompletion) run here too. Any TSan report fails the
+# run.
 #
 # Usage: scripts/check_tsan.sh [ctest-regex]
 #   ctest-regex: optional -R filter (default: all thread-stress suites)
@@ -29,4 +29,4 @@ cmake --build --preset tsan -j"$(nproc)" \
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
 ctest --test-dir build-tsan --output-on-failure \
-  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|WatchdogTest|JobServiceTest}"
+  -R "${1:-ThreadingStressTest|TaskPoolTest|FaultSweepTest|DegradationLadderTest|TaskPoolFaultTest|JobServiceTest}"

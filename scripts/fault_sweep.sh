@@ -110,7 +110,7 @@ for case in "${cases[@]}"; do
   IFS='|' read -r label circuit method plan allowed firing <<< "$case"
   set +e
   VERIQC_FAULT="$plan" "$bin" "$workdir/$circuit.qasm" "$workdir/$circuit.qasm" \
-    --method "$method" --retries 2 --watchdog-ms 30000 --sims 4 --timeout 60 \
+    --method "$method" --retries 2 --sims 4 --timeout 60 \
     --json "$workdir/$label.json" \
     > "$workdir/$label.log" 2>&1
   rc=$?

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the veriqcd job service: pipe a mixed NDJSON batch
-# (clean checks, a guaranteed non-equivalent pair, malformed JSON, an
-# unknown config key, a budget violation, an oversized line) through the
-# daemon over stdin, then a second batch over a Unix socket, and assert the
-# daemon's contract:
+# (clean checks, a guaranteed non-equivalent pair, malformed JSON, unknown
+# config keys, a budget violation, an oversized line) through the daemon
+# over stdin, then a 64 MB line followed by a job, then a second batch over
+# a Unix socket, and assert the daemon's contract:
 #
 #   - exactly one veriqc-report/v1 line per submitted job, each of which
 #     passes check_qasm --validate-report (the same validateRunReport gate
 #     CI applies to bench reports);
 #   - every rejection carries a structured job.reason from the wire enum,
 #     never a crash or a dropped line;
+#   - the line limit bounds memory: a 64 MB line is rejected as it arrives,
+#     and the daemon stays below 32 MB of peak resident set;
 #   - the --metrics-fd dump is valid JSON whose serve/ counters add up
 #     (submitted = admitted + rejected), and SIGUSR1 produces a mid-run
 #     metrics dump without disturbing the job stream;
@@ -75,7 +77,9 @@ expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
   --timeout 10 --sims -1
 expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
   --method ZX
-echo "malformed flags OK: 7 commands stopped with usage exit 3"
+expect_usage_exit "$CHECK_QASM" "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" \
+  --watchdog-ms 5
+echo "malformed flags OK: 8 commands stopped with usage exit 3"
 
 # --- batch over stdin --------------------------------------------------------
 
@@ -103,7 +107,9 @@ done
 # One oversized line (the daemon's line limit is set to 4096 below).
 printf '{"id":"job-huge","file1":"%s","file2":"%s","pad":"%s"}\n' \
   "$WORK/bell_a.qasm" "$WORK/bell_b.qasm" "$(head -c 5000 /dev/zero | tr '\0' x)" >>"$BATCH"
-SUBMITTED=31
+# A removed configuration key is an unknown one.
+echo "{\"id\":\"job-watchdog\",\"file1\":\"$WORK/bell_a.qasm\",\"file2\":\"$WORK/bell_b.qasm\",\"config\":{\"watchdogMillis\":5}}" >>"$BATCH"
+SUBMITTED=32
 
 echo "== stdin batch ($SUBMITTED jobs) =="
 "$VERIQCD" --max-dd-nodes 100000 --max-line-bytes 4096 --timeout-ms 30000 \
@@ -119,7 +125,7 @@ reasons = {"", "malformed_request", "oversized_request", "queue_full",
            "shutting_down"}
 lines = [l for l in open(reports_path, encoding="utf-8").read().splitlines() if l]
 assert len(lines) == submitted, f"expected {submitted} report lines, got {len(lines)}"
-admitted = rejected = 0
+admitted = rejected = malformed = 0
 for line in lines:
     report = json.loads(line)
     assert report["schema"] == "veriqc-report/v1", report["schema"]
@@ -132,7 +138,12 @@ for line in lines:
         rejected += 1
         assert job["reason"] != "", "rejection without a structured reason"
         assert report["verdict"]["verdict"] == "not_run"
-assert admitted == 15 and rejected == 16, (admitted, rejected)
+    malformed += job["reason"] == "malformed_request"
+    if job["id"] == "job-watchdog":
+        assert job["reason"] == "malformed_request", job
+        assert job["detail"] == "config.watchdogMillis: unknown configuration key", job
+assert admitted == 15 and rejected == 17, (admitted, rejected)
+assert malformed == 11, malformed
 
 metrics = json.loads(open(metrics_path, encoding="utf-8").read().splitlines()[-1])
 assert metrics["schema"] == "veriqc-metrics/v1", metrics["schema"]
@@ -153,6 +164,41 @@ while IFS= read -r line; do
   i=$((i + 1))
 done <"$WORK/reports.ndjson"
 echo "all $i report lines pass validateRunReport"
+
+# --- a 64 MB line, then a job ------------------------------------------------
+
+# The daemon drops the line's bytes past --max-line-bytes as they arrive, so
+# its peak resident set stays far below the line's size (a one-job run peaks
+# near 14 MB in Release).
+python3 - "$VERIQCD" "$WORK" <<'EOF'
+import json
+import resource
+import subprocess
+import sys
+
+veriqcd, work = sys.argv[1], sys.argv[2]
+job = {"id": "after-huge", "file1": f"{work}/bell_a.qasm",
+       "file2": f"{work}/bell_b.qasm"}
+with open(f"{work}/huge_reports.ndjson", "wb") as out:
+    daemon = subprocess.Popen(
+        [veriqcd, "--max-line-bytes", "4096", "--timeout-ms", "30000"],
+        stdin=subprocess.PIPE, stdout=out, stderr=subprocess.DEVNULL)
+    chunk = b"x" * (1 << 20)
+    for _ in range(64):
+        daemon.stdin.write(chunk)
+    daemon.stdin.write(b"\n" + json.dumps(job).encode() + b"\n")
+    daemon.stdin.close()
+    assert daemon.wait() == 0, daemon.returncode
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+reports = [json.loads(l) for l in
+           open(f"{work}/huge_reports.ndjson", encoding="utf-8").read().splitlines() if l]
+assert len(reports) == 2, f"expected 2 reports, got {len(reports)}"
+assert reports[0]["job"]["reason"] == "oversized_request", reports[0]["job"]
+assert reports[1]["job"]["id"] == "after-huge", reports[1]["job"]
+assert reports[1]["verdict"]["verdict"] == "equivalent", reports[1]["verdict"]
+assert peak_mb < 32, f"veriqcd peaked at {peak_mb:.1f} MB on a 64 MB line"
+print(f"64 MB line OK: oversized_request, then the job decided; peak RSS {peak_mb:.1f} MB")
+EOF
 
 # --- batch over the Unix socket, with a SIGUSR1 metrics dump -----------------
 
@@ -232,4 +278,4 @@ EOF
 
 # One-line coverage summary: jobs pushed through each transport and how many
 # report lines survived the validateRunReport schema gate.
-echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 2 metrics dumps checked, 7 malformed flags rejected)"
+echo "serve-smoke: OK (stdin: $SUBMITTED jobs, socket: 3 jobs; $i reports schema-validated, 64 MB line rejected within 32 MB, 2 metrics dumps checked, 8 malformed flags rejected)"

@@ -2,7 +2,6 @@
 
 #include "check/report.hpp"
 #include "check/task_pool.hpp"
-#include "check/watchdog.hpp"
 #include "dd/package.hpp"
 #include "fault/fault.hpp"
 
@@ -240,32 +239,15 @@ Result EquivalenceCheckingManager::run() {
     engineResults_[i].method = engineName(slotKind[i], slotConfig[i]);
   }
 
-  // Soft watchdog: heartbeats flow through the per-slot stop tokens; a slot
-  // silent past the budget trips the shared cancel flag, so the run ends in
-  // bounded time (siblings wind down as Cancelled — the trip precedes the
-  // deadline, so stop attribution never mislabels it Timeout).
-  std::unique_ptr<SoftWatchdog> watchdog;
-  if (config_.watchdogMillis > 0) {
-    watchdog = std::make_unique<SoftWatchdog>(
-        n, std::chrono::milliseconds(config_.watchdogMillis),
-        [&cancel](std::size_t /*slot*/) {
-          cancel.store(true, std::memory_order_release);
-        });
-  }
-  // Acquire pairs with the release store of a winning engine (or the
-  // watchdog), so an engine that observes the flag also observes everything
-  // written before it was raised (the winner's result slot in particular).
-  const auto stopFor = [this, &cancel, deadline,
-                        wd = watchdog.get()](const std::size_t slot) {
-    return StopToken([this, &cancel, deadline, wd, slot] {
-      if (wd != nullptr) {
-        wd->beat(slot);
-      }
-      return cancel.load(std::memory_order_acquire) ||
-             externalCancel_.load(std::memory_order_acquire) ||
-             Clock::now() >= deadline;
-    });
-  };
+  // One token for every slot. Acquire pairs with the release store of a
+  // winning engine, so an engine that observes the flag also observes
+  // everything written before it was raised (the winner's result slot in
+  // particular).
+  const StopToken stop([this, &cancel, deadline] {
+    return cancel.load(std::memory_order_acquire) ||
+           externalCancel_.load(std::memory_order_acquire) ||
+           Clock::now() >= deadline;
+  });
 
   // One attempt of one slot; runs on the manager thread (sequential path)
   // or a pool task (parallel path) — but never concurrently for one slot.
@@ -279,13 +261,6 @@ Result EquivalenceCheckingManager::run() {
     // PhaseTimer is internally synchronized, so concurrent engine spans may
     // be opened from worker threads directly.
     auto span = phases.scope(spanName);
-    const auto stop = stopFor(i);
-    // The dense baseline takes no stop token and thus emits no heartbeats;
-    // leaving its slot inactive keeps the watchdog from tripping on it.
-    const bool monitored = watchdog != nullptr && slotKind[i] != EngineKind::Dense;
-    if (monitored) {
-      watchdog->beginSlot(i);
-    }
     auto result = runGuarded(
         [this, &stop, i, &slotKind, &slotConfig]() -> Result {
           const auto& cfg = slotConfig[i];
@@ -305,8 +280,14 @@ Result EquivalenceCheckingManager::run() {
           throw std::logic_error("unknown engine kind");
         },
         name);
-    if (monitored) {
-      watchdog->endSlot(i);
+    // The cancel flags' only writers are a definitive verdict and
+    // requestCancel(), so a Cancelled slot with neither raised was stopped
+    // by this run's deadline. The engine judged that stop against its own
+    // deadline, which starts with the engine and so falls after the run's.
+    if (result.criterion == EquivalenceCriterion::Cancelled &&
+        !cancel.load(std::memory_order_acquire) &&
+        !externalCancel_.load(std::memory_order_acquire)) {
+      result.criterion = EquivalenceCriterion::Timeout;
     }
     // Close the span before publishing the result so its duration never
     // includes sibling bookkeeping — the sequential path finishes its span
@@ -448,10 +429,6 @@ Result EquivalenceCheckingManager::run() {
   if (suppressedExceptions > 0) {
     combined.counters.add("task_pool/suppressed_exceptions",
                           static_cast<double>(suppressedExceptions));
-  }
-  if (watchdog != nullptr) {
-    combined.counters.add("watchdog/trips",
-                          static_cast<double>(watchdog->trips()));
   }
   // Nonzero fired/suppressed totals of armed injection points; silent (and
   // golden-stable) when no plan was armed.

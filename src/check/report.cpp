@@ -64,7 +64,6 @@ obs::Json serializeConfiguration(const Configuration& config) {
   j["auditLevel"] = static_cast<std::int64_t>(config.auditLevel);
   j["faultPlan"] = config.faultPlan;
   j["engineRetryLimit"] = config.engineRetryLimit;
-  j["watchdogMillis"] = config.watchdogMillis;
   j["aggressiveGC"] = config.aggressiveGC;
   return j;
 }

@@ -123,11 +123,6 @@ struct Configuration {
   /// rung further down the ladder (gc-tight, sim-fallback, plain retry) and
   /// is recorded in the result's attempt lineage.
   std::size_t engineRetryLimit = 0;
-  /// Soft-watchdog poll budget in milliseconds (0 = disabled): when an
-  /// engine stops polling its stop token for this long, the manager trips
-  /// the shared cancel flag so the remaining engines wind down (attributed
-  /// Cancelled, not Timeout) instead of the run hanging until the deadline.
-  std::size_t watchdogMillis = 0;
   /// Degraded-mode knob (set by the ladder's "gc-tight" rung, settable
   /// directly too): start DD garbage collection at a small initial
   /// threshold so packages trade throughput for a tighter live-node band.

@@ -237,8 +237,8 @@ public:
   /// Feed every package statistic into a counters registry under `prefix`
   /// (e.g. "dd.multiply.hits"). Monotone counters (cache traffic, GC runs,
   /// allocations) accumulate by addition, high-water marks (peak nodes)
-  /// by maximum, so registries from several packages — e.g. the per-worker
-  /// packages of the simulation checker — merge correctly.
+  /// by maximum, so registries from several packages — e.g. the engines of
+  /// one run, or the jobs veriqcd merges into its metrics — merge correctly.
   void exportCounters(obs::CounterRegistry& registry,
                       const std::string& prefix = "dd.") const;
 

@@ -68,8 +68,6 @@ void applyConfigKey(check::Configuration& config, const std::string& key,
     config.maxMemoryMB = asSize(value, key);
   } else if (key == "engineRetryLimit") {
     config.engineRetryLimit = asSize(value, key);
-  } else if (key == "watchdogMillis") {
-    config.watchdogMillis = asSize(value, key);
   } else if (key == "recordTrace") {
     config.recordTrace = asBool(value, key);
   } else if (key == "auditLevel") {

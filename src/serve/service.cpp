@@ -60,9 +60,8 @@ bool JobService::submitLine(const std::string_view line) {
     oversized.id = "";
     oversized.config = defaults_;
     emitRejection(oversized, RejectReason::OversizedRequest,
-                  "request line of " + std::to_string(line.size()) +
-                      " bytes exceeds the limit of " +
-                      std::to_string(limits_.maxLineBytes));
+                  "request line exceeds the limit of " +
+                      std::to_string(limits_.maxLineBytes) + " bytes");
     return false;
   }
   auto parsed = parseJobLine(line, defaults_);
@@ -349,6 +348,38 @@ obs::Json JobService::metricsJson() const {
 ServiceStats JobService::stats() const {
   const support::LockGuard lock(mutex_);
   return stats_;
+}
+
+void LineSplitter::feed(std::string_view bytes) {
+  while (!bytes.empty()) {
+    const auto newline = bytes.find('\n');
+    const auto piece = bytes.substr(0, newline);
+    if (!oversized_) {
+      // A pending line that is not oversized holds at most maxLineBytes_.
+      const auto room = maxLineBytes_ - pending_.size();
+      if (piece.size() > room) {
+        pending_.append(piece.substr(0, room + 1));
+        submit_(pending_);
+        pending_.clear();
+        oversized_ = true;
+      } else {
+        pending_.append(piece);
+      }
+    }
+    if (newline == std::string_view::npos) {
+      return;
+    }
+    finish();
+    bytes.remove_prefix(newline + 1);
+  }
+}
+
+void LineSplitter::finish() {
+  if (!oversized_ && !pending_.empty()) {
+    submit_(pending_);
+  }
+  pending_.clear();
+  oversized_ = false;
 }
 
 } // namespace veriqc::serve

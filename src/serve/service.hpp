@@ -3,7 +3,8 @@
 ///        and one veriqc-report/v1 object per submitted job.
 ///
 /// JobService is the daemon's core, front-end-agnostic: stdin and Unix-socket
-/// ingress both feed submitLine(). The lifecycle of one job:
+/// ingress both feed submitLine() through a LineSplitter, which enforces the
+/// line limit before a line is held whole. The lifecycle of one job:
 ///
 ///   submitLine -> parse (strict protocol) -> admission control -> queue
 ///     -> worker: parse circuits, run a per-job EquivalenceCheckingManager
@@ -47,6 +48,7 @@
 #include <string_view>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace veriqc::check {
@@ -170,6 +172,31 @@ private:
   /// it needs no lock (constructors are exempt from the analysis anyway).
   support::Mutex shutdownMutex_;
   std::vector<std::thread> workers_ VERIQC_GUARDED_BY(shutdownMutex_);
+};
+
+/// Cuts an ingress byte stream into request lines for submitLine(), holding
+/// at most maxLineBytes + 1 bytes of a pending line, so the line limit bounds
+/// memory as the bytes arrive. A longer line is submitted once, as its first
+/// maxLineBytes + 1 bytes (which submitLine() rejects as oversized_request),
+/// and the rest of it is dropped up to the next newline. Empty lines are
+/// skipped; every other line is submitted exactly once.
+class LineSplitter {
+public:
+  using Submit = std::function<void(std::string_view line)>;
+
+  LineSplitter(std::size_t maxLineBytes, Submit submit)
+      : maxLineBytes_(maxLineBytes), submit_(std::move(submit)) {}
+
+  /// Feed the next bytes of the stream.
+  void feed(std::string_view bytes);
+  /// End of stream: submit a last line that has no newline.
+  void finish();
+
+private:
+  std::size_t maxLineBytes_;
+  Submit submit_;
+  std::string pending_;
+  bool oversized_ = false; ///< the pending line was submitted already
 };
 
 } // namespace veriqc::serve

@@ -402,7 +402,8 @@ TEST(ManagerTest, TimeoutProducesTimeout) {
   // A large circuit that cannot finish within 1 ms.
   const auto c = compile::decomposeToCnot(circuits::grover(7, 13));
   const auto result = checkEquivalence(c, c, config);
-  EXPECT_FALSE(isDefinitive(result.criterion));
+  EXPECT_EQ(result.criterion, EquivalenceCriterion::Timeout)
+      << result.toString();
 }
 
 TEST(ManagerTest, HugeTimeoutSaturatesInsteadOfExpiring) {

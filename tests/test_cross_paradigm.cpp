@@ -1,8 +1,10 @@
 /// Randomized agreement checks between the DD and ZX paradigms, plus the
 /// manager's sequential-skip and the ZX checker's stop-attribution contracts.
 #include "check/manager.hpp"
+#include "check/task_pool.hpp"
 #include "circuits/benchmarks.hpp"
 #include "circuits/error_injection.hpp"
+#include "compile/decompose.hpp"
 
 #include <gtest/gtest.h>
 
@@ -288,6 +290,37 @@ TEST(ManagerCancellationTest, SiblingVerdictRecordsCancelledSlot) {
   // assert the cancellation actually happened.
   EXPECT_EQ(slots[1].criterion, EquivalenceCriterion::Cancelled)
       << slots[1].toString();
+}
+
+TEST(ManagerCancellationTest, DeadlineRecordsTimeoutOnEverySlot) {
+  // Engines that run one after another, on a 1-slot pool (as veriqcd queues
+  // them on its shared pool) or on the sequential path. The naive oracle
+  // keeps the alternating check far past the 20 ms deadline (it needs about
+  // a second), so the run's deadline stops it. The simulation engine starts
+  // only after the deadline has passed; its set-up takes about 1 ms, so it
+  // polls long before its own deadline, taken when it started, would stop
+  // it. No verdict and no requestCancel() raised the cancel flag, so every
+  // slot, and the combined verdict, must read Timeout, not Cancelled.
+  const auto c = compile::decomposeToCnot(circuits::grover(6, 13));
+  Configuration config = quickConfig();
+  config.oracle = OracleStrategy::Naive;
+  config.simulationRuns = 1000000;
+  config.timeout = std::chrono::milliseconds(20);
+  for (const bool onPool : {true, false}) {
+    config.parallel = onPool;
+    TaskPool pool(1);
+    EquivalenceCheckingManager manager(c, c, config);
+    manager.useTaskPool(&pool);
+    const auto combined = manager.run();
+    EXPECT_EQ(combined.criterion, EquivalenceCriterion::Timeout)
+        << "onPool=" << onPool << ": " << combined.toString();
+    const auto& slots = manager.engineResults();
+    ASSERT_EQ(slots.size(), 2U);
+    for (const auto& slot : slots) {
+      EXPECT_EQ(slot.criterion, EquivalenceCriterion::Timeout)
+          << "onPool=" << onPool << ": " << slot.toString();
+    }
+  }
 }
 
 // --- simulation checker stimulus accounting ----------------------------------

@@ -6,7 +6,6 @@
 #include "check/manager.hpp"
 #include "check/report.hpp"
 #include "check/task_pool.hpp"
-#include "check/watchdog.hpp"
 #include "circuits/benchmarks.hpp"
 #include "fault/fault.hpp"
 
@@ -14,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <new>
 #include <set>
 #include <stdexcept>
@@ -463,66 +461,4 @@ TEST(TaskPoolFaultTest, SubmitFailureRollsBackPendingCount) {
   }
   group.wait();
   EXPECT_EQ(ran.load(), 8);
-}
-
-// --- watchdog ----------------------------------------------------------------
-
-TEST(WatchdogTest, TripsOnceWhenASlotGoesSilent) {
-  std::atomic<int> trips{0};
-  std::atomic<std::size_t> trippedSlot{99};
-  SoftWatchdog watchdog(2, std::chrono::milliseconds(50),
-                        [&](const std::size_t slot) {
-                          trips.fetch_add(1);
-                          trippedSlot.store(slot);
-                        });
-  watchdog.beginSlot(1);
-  // Slot 1 never beats: the monitor must trip it within ~1.25x the budget.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (trips.load() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(trips.load(), 1);
-  EXPECT_EQ(trippedSlot.load(), 1U);
-  EXPECT_TRUE(watchdog.tripped(1));
-  EXPECT_FALSE(watchdog.tripped(0));
-  // A trip is once-per-slot: more silence does not re-fire.
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(trips.load(), 1);
-  EXPECT_EQ(watchdog.trips(), 1U);
-}
-
-TEST(WatchdogTest, HeartbeatsKeepASlotAlive) {
-  std::atomic<int> trips{0};
-  SoftWatchdog watchdog(1, std::chrono::milliseconds(50),
-                        [&](std::size_t) { trips.fetch_add(1); });
-  watchdog.beginSlot(0);
-  for (int i = 0; i < 30; ++i) {
-    watchdog.beat(0);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  watchdog.endSlot(0);
-  EXPECT_EQ(trips.load(), 0);
-}
-
-TEST(WatchdogTest, FinishedSlotsAreNotMonitored) {
-  std::atomic<int> trips{0};
-  SoftWatchdog watchdog(1, std::chrono::milliseconds(50),
-                        [&](std::size_t) { trips.fetch_add(1); });
-  watchdog.beginSlot(0);
-  watchdog.endSlot(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_EQ(trips.load(), 0);
-}
-
-TEST(WatchdogTest, ManagerExportsTripCounterWhenEnabled) {
-  Configuration config;
-  config.simulationRuns = 2;
-  config.watchdogMillis = 5000; // generous: engines poll far more often
-  config.parallel = true;
-  const auto combined =
-      checkEquivalence(circuits::ghz(3), circuits::ghz(3), config);
-  EXPECT_EQ(combined.criterion, EquivalenceCriterion::Equivalent);
-  EXPECT_TRUE(combined.counters.contains("watchdog/trips"));
-  EXPECT_DOUBLE_EQ(combined.counters.value("watchdog/trips"), 0.0);
 }

@@ -92,7 +92,7 @@ Json goldenReport() {
   // its kernel counters, and carries only what the manager measures itself.
   Result combined = engines[0];
   combined.counters = {};
-  combined.counters.add("watchdog/trips", 1);
+  combined.counters.add("task_pool/suppressed_exceptions", 1);
   combined.method = "manager";
   combined.runtimeSeconds = 1.25;
   combined.resourceLimitedEngines = {"engine-7"};
@@ -196,7 +196,8 @@ TEST(GoldenReportTest, EngineCountersAreNamespacedBySlot) {
   EXPECT_DOUBLE_EQ(counters.at("dd.multiply.lookups").asDouble(), 100.0);
   EXPECT_DOUBLE_EQ(counters.at("dd.nodes.peak").asDouble(), 42.0);
   EXPECT_DOUBLE_EQ(counters.at("zx.rewrites").asDouble(), 23.0);
-  EXPECT_DOUBLE_EQ(counters.at("watchdog/trips").asDouble(), 1.0);
+  EXPECT_DOUBLE_EQ(counters.at("task_pool/suppressed_exceptions").asDouble(),
+                   1.0);
   for (const auto& [name, value] : counters.asObject()) {
     EXPECT_NE(name.rfind("engine:", 0), 0U) << name;
   }

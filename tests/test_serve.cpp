@@ -20,6 +20,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -336,6 +337,51 @@ TEST(JobServiceTest, OversizedLinesAreRejectedBeforeParsing) {
             "oversized_request");
 }
 
+TEST(LineSplitterTest, JoinsChunksSkipsEmptyLinesAndCutsOversizedOnes) {
+  // Three-byte chunks: lines that straddle chunks are joined, an oversized
+  // line is handed on once as its first 9 bytes and the rest of it is
+  // dropped, and a last line without a newline waits for finish().
+  std::vector<std::string> lines;
+  LineSplitter splitter(8, [&lines](const std::string_view line) {
+    lines.emplace_back(line);
+  });
+  const std::string_view stream =
+      "short\n\nabcdefghijklmnopqrstuvwxyz\nexactly8\ntail";
+  for (std::size_t i = 0; i < stream.size(); i += 3) {
+    splitter.feed(stream.substr(i, 3));
+  }
+  EXPECT_EQ(lines, (std::vector<std::string>{"short", "abcdefghi",
+                                             "exactly8"}));
+  splitter.finish();
+  EXPECT_EQ(lines, (std::vector<std::string>{"short", "abcdefghi", "exactly8",
+                                             "tail"}));
+}
+
+TEST(LineSplitterTest, OversizedLineGetsOneRejectionAndTheNextJobRuns) {
+  ServiceLimits limits;
+  limits.maxLineBytes = 4096;
+  Capture capture;
+  JobService service(limits, quickDefaults(), capture.sink());
+  LineSplitter splitter(limits.maxLineBytes,
+                        [&service](const std::string_view line) {
+                          service.submitLine(line);
+                        });
+  const std::string chunk(4096, 'x');
+  for (int i = 0; i < 64; ++i) {
+    splitter.feed(chunk);
+  }
+  splitter.feed("\n" + jobLine("next", bellA(), bellB()) + "\n");
+  splitter.finish();
+  service.drain();
+  const auto reports = capture.reports();
+  ASSERT_EQ(reports.size(), 2U);
+  EXPECT_EQ(jobObject(reports[0].second).at("reason").asString(),
+            "oversized_request");
+  EXPECT_EQ(verdictOf(reports[0].second), "not_run");
+  EXPECT_EQ(reports[1].first, "next");
+  EXPECT_EQ(verdictOf(reports[1].second), "equivalent");
+}
+
 TEST(JobServiceTest, BudgetAboveTheDaemonCapIsRejected) {
   ServiceLimits limits;
   limits.maxDDNodes = 1000;
@@ -373,6 +419,23 @@ TEST(JobServiceTest, SimulationThreadsKeyIsRejected) {
   EXPECT_EQ(jobObject(report).at("reason").asString(), "malformed_request");
   EXPECT_EQ(jobObject(report).at("detail").asString(),
             "config.simulationThreads: unknown configuration key");
+}
+
+TEST(JobServiceTest, WatchdogMillisKeyIsRejected) {
+  // A run stops on its deadline or on a verdict; there is no poll budget.
+  Capture capture;
+  JobService service(ServiceLimits{}, quickDefaults(), capture.sink());
+  EXPECT_FALSE(service.submitLine(
+      jobLine("watchdog", bellA(), bellB(), R"({"watchdogMillis":5})")));
+  service.drain();
+  const auto reports = capture.reports();
+  ASSERT_EQ(reports.size(), 1U);
+  const auto& report = reports[0].second;
+  EXPECT_TRUE(check::validateRunReport(report).empty());
+  EXPECT_EQ(verdictOf(report), "not_run");
+  EXPECT_EQ(jobObject(report).at("reason").asString(), "malformed_request");
+  EXPECT_EQ(jobObject(report).at("detail").asString(),
+            "config.watchdogMillis: unknown configuration key");
 }
 
 TEST(JobServiceTest, MemoryBudgetShedsLoadInsteadOfOOMing) {
